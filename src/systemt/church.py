@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .dialogue import BAIRE_FN, DTree, Leaf, TypeMismatch
+from .dialogue import BAIRE_FN, DTree, Leaf, require_baire_fn
 from .set_model import FunV, SetValue, apply_set, eval_set, natv
 from .syntax import (
     NAT,
@@ -22,8 +22,6 @@ from .syntax import (
     Ty,
     Var,
     Zero,
-    format_ty,
-    infer,
     shift,
 )
 
@@ -164,9 +162,7 @@ def translate(term: Term, motive: Motive) -> Term:
 
 def dialogue_tree_int(term: Term, motive: Motive) -> Term:
     """The closed encoded-tree term for a closed term of type (nat -> nat) -> nat."""
-    ty = infer(term, ())
-    if ty != BAIRE_FN:
-        raise TypeMismatch(f"expected {format_ty(BAIRE_FN)}, found {format_ty(ty)}")
+    require_baire_fn(term)
     return App(translate(term, motive), generic_int(motive))
 
 
@@ -201,13 +197,12 @@ def _encode_constructors(motive: Motive):
 def encode(tree: DTree, motive: Motive) -> SetValue:
     """The set-model value of an inductive tree at the encoded-tree type."""
     leaf_v, branch_v = _encode_constructors(motive)
-    tree_ty = church_type(NAT, motive)
 
     def go(t: DTree) -> SetValue:
         if isinstance(t, Leaf):
             return apply_set(leaf_v, natv(t.value))
         children = t.children
-        lifted = FunV(lambda v: go(children(v.value)), NAT, tree_ty)
+        lifted = FunV(lambda v: go(children(v.value)))
         return apply_set(apply_set(branch_v, lifted), natv(t.query))
 
     return go(tree)

@@ -1,7 +1,7 @@
 """Command-line surface: check, eval, tree, translate, modulus, umodulus, selftest.
 
-Exit codes: 0 on success, 1 on parse/type errors, 2 on a selftest or
-verification failure.
+Exit codes: 0 on success, 1 on parse/type errors, bad oracles and terms too
+deep to evaluate, 2 on a selftest or verification failure or a usage error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import church, harness, moduli
-from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, tree_sexpr
+from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, require_baire_fn, tree_sexpr
 from .set_model import apply_set, eval_set, lift_oracle
 from .syntax import App, NAT, ParseError, Term, TypeCheckError, UnboundVariable, format_ty, infer, parse, pretty, typecheck
 
@@ -36,12 +36,6 @@ def _load_term(path: str) -> Term:
         return typecheck(parse(handle.read()))
 
 
-def _require_baire_fn(term: Term) -> None:
-    ty = infer(term, ())
-    if ty != BAIRE_FN:
-        raise TypeMismatch(f"expected {format_ty(BAIRE_FN)}, found {format_ty(ty)}")
-
-
 def cmd_check(args) -> int:
     term = _load_term(args.file)
     print(format_ty(infer(term, ())))
@@ -50,7 +44,7 @@ def cmd_check(args) -> int:
 
 def cmd_eval(args) -> int:
     term = _load_term(args.file)
-    _require_baire_fn(term)
+    require_baire_fn(term)
     alpha = Oracle.from_spec(args.oracle)
     print(apply_set(eval_set(term), lift_oracle(alpha)).value)
     return 0
@@ -70,9 +64,8 @@ def cmd_translate(args) -> int:
 
 def cmd_modulus(args) -> int:
     term = _load_term(args.file)
-    _require_baire_fn(term)
-    alpha = Oracle.from_spec(args.oracle)
     mod_v = eval_set(App(moduli.modulus_int(), church.dialogue_tree_int(term, NAT)))
+    alpha = Oracle.from_spec(args.oracle)
     m = apply_set(mod_v, lift_oracle(alpha)).value
     print(m)
     if args.verify:
@@ -91,7 +84,6 @@ def cmd_modulus(args) -> int:
 
 def cmd_umodulus(args) -> int:
     term = _load_term(args.file)
-    _require_baire_fn(term)
     print(eval_set(App(moduli.modulus_uni_int(), church.dialogue_tree_int(term, NAT))).value)
     return 0
 
@@ -117,6 +109,16 @@ def cmd_selftest(args) -> int:
     return 2 if failed else 0
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="systemt", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -132,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="print the dialogue tree as an s-expression")
     p.add_argument("file")
-    p.add_argument("--answers", type=int, default=2, help="materialized answer alphabet {0..K-1}")
-    p.add_argument("--depth", type=int, default=64, help="depth bound; deeper subtrees print (...)")
+    p.add_argument("--answers", type=_int_at_least(1), default=2, help="materialized answer alphabet {0..K-1}")
+    p.add_argument("--depth", type=_int_at_least(0), default=64, help="depth bound; deeper subtrees print (...)")
     p.set_defaults(run=cmd_tree)
 
     p = sub.add_parser("translate", help="print the encoded-tree term for a file")
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modulus", help="internal modulus of continuity at an oracle")
     p.add_argument("file")
     p.add_argument("--oracle", required=True)
-    p.add_argument("--verify", type=int, default=0, metavar="N", help="sample N agreeing points")
+    p.add_argument("--verify", type=_int_at_least(0), default=0, metavar="N", help="sample N agreeing points")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=cmd_modulus)
 
@@ -166,7 +168,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ParseError, TypeCheckError, UnboundVariable, TypeMismatch, ValueError, OSError) as err:
+    except (ParseError, TypeCheckError, UnboundVariable, TypeMismatch, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,9 @@ A dialogue tree is a well-founded tree whose branch nodes carry an oracle
 query and whose children are indexed by the possible answers.  Children are
 represented as total functions, so trees over the full answer alphabet of
 naturals stay finite objects; materialization happens only when printing.
+
+The tree model is the record `TREE_MODEL` for the staged compiler in
+`set_model`, which serves both models: only the ground type differs.
 """
 
 from __future__ import annotations
@@ -11,21 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .syntax import (
-    NAT,
-    App,
-    Arrow,
-    Lam,
-    Rec,
-    Succ,
-    Term,
-    Ty,
-    Var,
-    Zero,
-    arrow,
-    format_ty,
-    infer,
-)
+from .set_model import Compiled, FunV, Model, compile_term
+from .syntax import NAT, Arrow, Term, Ty, arrow, format_ty, infer
 
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
 
@@ -66,6 +56,8 @@ class Oracle:
 
     def __post_init__(self):
         prefix = tuple(self.prefix)
+        if min((self.default, *prefix)) < 0:
+            raise ValueError(f"oracle values must be naturals: {prefix} with default {self.default}")
         while prefix and prefix[-1] == self.default:
             prefix = prefix[:-1]
         object.__setattr__(self, "prefix", prefix)
@@ -85,9 +77,10 @@ class Oracle:
         head, default = _split_spec(text)
         try:
             prefix = tuple(int(part) for part in head)
-            return cls(prefix, int(default))
+            default = int(default)
         except ValueError:
             raise ValueError(f"bad oracle spec {text!r}") from None
+        return cls(prefix, default)
 
 
 def _split_spec(text: str):
@@ -133,7 +126,7 @@ def generic(tree: DTree) -> DTree:
 
 
 # ---------------------------------------------------------------------------
-# Tree-model values and evaluation
+# The tree model
 # ---------------------------------------------------------------------------
 
 
@@ -142,71 +135,48 @@ class TreeV:
     tree: DTree
 
 
-@dataclass(frozen=True)
-class DFunV:
-    fn: Callable[["DialValue"], "DialValue"]
-
-
-DialValue = Union[TreeV, DFunV]
+DialValue = Union[TreeV, FunV]
 
 DialEnv = tuple
-
-
-def apply_dial(fn: DialValue, arg: DialValue) -> DialValue:
-    if isinstance(fn, TreeV):
-        raise TypeMismatch("a ground value was applied as a function")
-    return fn.fn(arg)
 
 
 def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: DTree) -> DialValue:
     """Kleisli extension lifted pointwise through arrow types."""
     if ty == NAT:
-        return TreeV(kleisli(lambda n: _as_tree(fn(n)), tree))
+        return TreeV(kleisli(lambda n: fn(n).tree, tree))
     cod = ty.codomain
-    return DFunV(lambda s: gkleisli(cod, lambda n: apply_dial(fn(n), s), tree))
+    return FunV(lambda s: gkleisli(cod, lambda n: fn(n).fn(s), tree))
 
 
-def _as_tree(v: DialValue) -> DTree:
-    if not isinstance(v, TreeV):
-        raise TypeMismatch("expected a ground value")
-    return v.tree
+def _tree_plus(corec: Compiled, k: int) -> Compiled:
+    return lambda env: TreeV(functor_map(lambda n: n + k, corec(env).tree))
+
+
+def _tree_rec(motive: Ty, argc: Compiled, iterate) -> Compiled:
+    return lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env).tree)
+
+
+#: The tree model: a natural is the tree of queries that computes it, and the
+#: recursor is grafted onto every leaf of its scrutinee's tree.
+TREE_MODEL = Model(lambda k: TreeV(Leaf(k)), _tree_plus, _tree_rec)
 
 
 def eval_dial(term: Term, env: DialEnv = ()) -> DialValue:
     """Evaluate a well-typed term in the tree model."""
-    if isinstance(term, Var):
-        return env[term.index]
-    if isinstance(term, Zero):
-        return TreeV(Leaf(0))
-    if isinstance(term, Succ):
-        return TreeV(functor_map(lambda n: n + 1, _as_tree(eval_dial(term.arg, env))))
-    if isinstance(term, Lam):
-        body = term.body
-        return DFunV(lambda v: eval_dial(body, (v,) + env))
-    if isinstance(term, App):
-        return apply_dial(eval_dial(term.fn, env), eval_dial(term.arg, env))
-    if isinstance(term, Rec):
-        stepv = eval_dial(term.step, env)
-        basev = eval_dial(term.base, env)
-        argv = eval_dial(term.arg, env)
+    return compile_term(term, TREE_MODEL)(tuple(env))
 
-        def iterate(n: int) -> DialValue:
-            acc = basev
-            for k in range(n):
-                acc = apply_dial(apply_dial(stepv, TreeV(Leaf(k))), acc)
-            return acc
 
-        return gkleisli(term.motive, iterate, _as_tree(argv))
-    raise TypeError(f"not a term: {term!r}")
+def require_baire_fn(term: Term) -> None:
+    """Raise TypeMismatch unless a closed term has type (nat -> nat) -> nat."""
+    ty = infer(term, ())
+    if ty != BAIRE_FN:
+        raise TypeMismatch(f"expected {format_ty(BAIRE_FN)}, found {format_ty(ty)}")
 
 
 def dialogue_tree(term: Term) -> DTree:
     """The tree of queries a closed term of type (nat -> nat) -> nat performs."""
-    ty = infer(term, ())
-    if ty != BAIRE_FN:
-        raise TypeMismatch(f"expected {format_ty(BAIRE_FN)}, found {format_ty(ty)}")
-    out = apply_dial(eval_dial(term), DFunV(lambda s: TreeV(generic(_as_tree(s)))))
-    return _as_tree(out)
+    require_baire_fn(term)
+    return eval_dial(term).fn(FunV(lambda s: TreeV(generic(s.tree)))).tree
 
 
 # ---------------------------------------------------------------------------

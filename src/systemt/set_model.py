@@ -1,29 +1,21 @@
-"""Set-theoretic semantics: terms evaluate to numbers and host functions.
+"""The staged evaluator of System T, and its set model.
 
-Evaluation goes through a one-pass compilation of the term into nested Python
-closures; this is the usual environment semantics, staged so that the term is
-traversed once however many times the resulting value is applied.
+`compile_term` compiles a term once into nested Python closures over
+environments; the result is applied any number of times without walking the
+term again.  The same compiler serves the set model here, where terms evaluate
+to numbers and host functions, and the tree model in `dialogue`, where ground
+values are dialogue trees.  Following effectful forcing, the two models differ
+only at the ground type, so a `Model` record holds just the three things that
+touch it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from operator import itemgetter
+from typing import Callable, NamedTuple, Union
 
-from .syntax import (
-    NAT,
-    App,
-    Arrow,
-    Lam,
-    Rec,
-    Succ,
-    Term,
-    Ty,
-    Var,
-    Zero,
-    infer,
-    occurs_free,
-)
+from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free
 
 
 class SemanticsBug(AssertionError):
@@ -36,19 +28,12 @@ class NatV:
 
 
 class FunV:
-    """A semantic function value; compared by identity, applied via .fn."""
+    """A semantic function value of either model; compared by identity, applied via .fn."""
 
-    __slots__ = ("fn", "domain", "codomain")
+    __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[["SetValue"], "SetValue"], domain: Ty, codomain: Ty):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.domain = domain
-        self.codomain = codomain
-
-    def __repr__(self):
-        from .syntax import format_ty
-
-        return f"FunV(<fn>, {format_ty(Arrow(self.domain, self.codomain))})"
 
 
 SetValue = Union[NatV, FunV]
@@ -56,23 +41,41 @@ SetValue = Union[NatV, FunV]
 #: Environments are tuples of values, innermost binding first.
 SetEnv = tuple
 
+#: A compiled term: a closure from an environment to a value of the model.
+Compiled = Callable[[tuple], object]
+
+
+class Model(NamedTuple):
+    """What a model of System T decides at the ground type.
+
+    plus and rec are compile-time combinators that build a closure once, so
+    a compiled term never looks into the record at run time.
+    """
+
+    #: the value of the numeral k
+    nat: Callable[[int], object]
+    #: plus(c, k): a closure adding k to the ground value c computes
+    plus: Callable[[Compiled, int], Compiled]
+    #: rec(motive, c, iterate): a closure feeding the scrutinee c computes to
+    #: iterate(env, n), which runs the recursor n times
+    rec: Callable[[Ty, Compiled, Callable[[tuple, int], object]], Compiled]
+
+
 _SMALL = tuple(NatV(i) for i in range(4096))
 
 
 def natv(n: int) -> NatV:
     """NatV with small values interned."""
-    return _SMALL[n] if n < 4096 else NatV(n)
-
-
-def value_type(v: SetValue) -> Ty:
-    if isinstance(v, NatV):
-        return NAT
-    return Arrow(v.domain, v.codomain)
+    if 0 <= n < 4096:
+        return _SMALL[n]
+    if n < 0:
+        raise ValueError(f"naturals are nonnegative, got {n}")
+    return NatV(n)
 
 
 def apply_set(fn: SetValue, arg: SetValue) -> SetValue:
-    if isinstance(fn, NatV):
-        raise SemanticsBug("a number was applied as a function")
+    if not isinstance(fn, FunV):
+        raise SemanticsBug("a ground value was applied as a function")
     return fn.fn(arg)
 
 
@@ -81,96 +84,94 @@ def lift_oracle(alpha) -> FunV:
 
     Accepts anything callable on naturals (an Oracle or a plain function).
     """
-    return FunV(lambda v: natv(alpha(v.value)), NAT, NAT)
+    return FunV(lambda v: natv(alpha(v.value)))
+
+
+def _set_plus(corec: Compiled, k: int) -> Compiled:
+    return lambda env: natv(corec(env).value + k)
+
+
+def _set_rec(motive: Ty, argc: Compiled, iterate) -> Compiled:
+    return lambda env: iterate(env, argc(env).value)
+
+
+SET_MODEL = Model(natv, _set_plus, _set_rec)
 
 
 def eval_set(term: Term, env: SetEnv = ()) -> SetValue:
     """Evaluate a well-typed term under an environment matching its context."""
-    env = tuple(env)
-    ctx = tuple(value_type(v) for v in env)
-    return compile_set(term, ctx)(env)
+    return compile_term(term, SET_MODEL)(tuple(env))
 
 
-def compile_set(term: Term, ctx=()) -> Callable[[SetEnv], SetValue]:
-    """Compile a well-typed term into a closure over environments."""
+def compile_term(term: Term, model: Model) -> Compiled:
+    """Compile a well-typed term into a closure over environments of the model."""
     if isinstance(term, Var):
-        i = term.index
-        return lambda env: env[i]
-    if isinstance(term, Zero):
-        zero = _SMALL[0]
-        return lambda env: zero
-    if isinstance(term, Succ):
+        # a C-level getter: reading a variable costs no Python frame
+        return itemgetter(term.index)
+    if isinstance(term, (Zero, Succ)):
         # collapse successor chains so deep numerals cost one frame, not one each
         k = 0
         core = term
         while isinstance(core, Succ):
             k += 1
             core = core.arg
-        corec = compile_set(core, ctx)
-        return lambda env: natv(corec(env).value + k)
+        if isinstance(core, Zero):
+            value = model.nat(k)
+            return lambda env: value
+        return model.plus(compile_term(core, model), k)
     if isinstance(term, Lam):
-        dom = term.domain
-        inner = (dom,) + tuple(ctx)
-        cod = infer(term.body, inner)
-        bodyc = compile_set(term.body, inner)
-        def make(env):
-            return FunV(lambda v: bodyc((v,) + env), dom, cod)
-        return make
+        bodyc = compile_term(term.body, model)
+        return lambda env: FunV(lambda v: bodyc((v,) + env))
     if isinstance(term, App):
-        fnc = compile_set(term.fn, ctx)
-        argc = compile_set(term.arg, ctx)
+        fnc = compile_term(term.fn, model)
+        argc = compile_term(term.arg, model)
+
         def apply(env):
             fn = fnc(env)
-            if isinstance(fn, NatV):
-                raise SemanticsBug("a number was applied as a function")
+            if not isinstance(fn, FunV):
+                raise SemanticsBug("a ground value was applied as a function")
             return fn.fn(argc(env))
+
         return apply
     if isinstance(term, Rec):
-        basec = compile_set(term.base, ctx)
-        argc = compile_set(term.arg, ctx)
-        step = term.step
-        drops = _step_drops_result(step)
-        if isinstance(step, Lam) and isinstance(step.body, Lam):
-            # Uncurried fast path: applying a syntactic double-lambda to the
-            # index and the accumulator is just evaluating its body under two
-            # extra bindings.
-            bodyc = compile_set(
-                step.body.body, (step.body.domain, step.domain) + tuple(ctx)
-            )
-            if drops:
-                # The step never reads the recursive result, so only the last
-                # iteration matters; skipping the others is sound because
-                # evaluation is pure and total.
-                def run(env):
-                    n = argc(env).value
-                    if n == 0:
-                        return basec(env)
-                    return bodyc((None, natv(n - 1)) + env)
-            else:
-                def run(env):
-                    n = argc(env).value
-                    acc = basec(env)
-                    for k in range(n):
-                        acc = bodyc((acc, natv(k)) + env)
-                    return acc
-        else:
-            stepc = compile_set(step, ctx)
-
-            def run(env):
-                n = argc(env).value
-                acc = basec(env)
-                if n:
-                    fn = stepc(env).fn
-                    for k in range(n):
-                        acc = fn(natv(k)).fn(acc)
-                return acc
-        return run
+        return model.rec(term.motive, compile_term(term.arg, model), _compile_iterate(term, model))
     raise TypeError(f"not a term: {term!r}")
 
 
-def _step_drops_result(step: Term) -> bool:
-    return (
-        isinstance(step, Lam)
-        and isinstance(step.body, Lam)
-        and not occurs_free(step.body.body, 0)
-    )
+def _compile_iterate(term: Rec, model: Model):
+    """The closure iterate(env, n) running the recursor of term n times."""
+    basec = compile_term(term.base, model)
+    nat = model.nat
+    step = term.step
+    if isinstance(step, Lam) and isinstance(step.body, Lam):
+        # Uncurried fast path: applying a syntactic double-lambda to the
+        # index and the accumulator is just evaluating its body under two
+        # extra bindings.
+        body = step.body.body
+        bodyc = compile_term(body, model)
+        if not occurs_free(body, 0):
+            # The step never reads the recursive result, so only the last
+            # iteration matters; skipping the others is sound because
+            # evaluation is pure and total.
+            def iterate(env, n):
+                if n == 0:
+                    return basec(env)
+                return bodyc((None, nat(n - 1)) + env)
+        else:
+            def iterate(env, n):
+                acc = basec(env)
+                for k in range(n):
+                    acc = bodyc((acc, nat(k)) + env)
+                return acc
+        return iterate
+    stepc = compile_term(step, model)
+
+    def iterate(env, n):
+        acc = basec(env)
+        if n:
+            fn = stepc(env).fn
+            for k in range(n):
+                acc = fn(nat(k)).fn(acc)
+        return acc
+
+    return iterate

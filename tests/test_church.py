@@ -116,11 +116,11 @@ def test_gkleisli_int_matches_external_through_encode():
     )
     internal = apply_set(apply_set(eval_set(g), eval_set(fn_term)), encode(d, NAT))
 
-    from systemt.dialogue import DFunV, TreeV, gkleisli
+    from systemt.dialogue import TreeV, gkleisli
 
     external = gkleisli(
         Arrow(NAT, NAT),
-        lambda n: DFunV(lambda s: TreeV(functor_map(lambda x: x + n, s.tree))),
+        lambda n: FunV(lambda s: TreeV(functor_map(lambda x: x + n, s.tree))),
         d,
     )
     probe_tree = Branch(0, lambda y: Leaf(y))
@@ -134,12 +134,8 @@ def test_gkleisli_int_matches_external_through_encode():
 
 def _observe_nat_tree(value, alpha):
     """Fold an encoded nat-motive tree with handlers that run the dialogue."""
-    idh = FunV(lambda v: v, NAT, NAT)
-    run = FunV(
-        lambda g: FunV(lambda x: apply_set(g, natv(alpha(x.value))), NAT, NAT),
-        Arrow(NAT, NAT),
-        Arrow(NAT, NAT),
-    )
+    idh = FunV(lambda v: v)
+    run = FunV(lambda g: FunV(lambda x: apply_set(g, natv(alpha(x.value)))))
     return apply_set(apply_set(value, idh), run).value
 
 
@@ -211,13 +207,13 @@ def test_dialogue_f_int_runs_internal_tree():
 
 
 def test_encode_leaf_with_identity_handler():
-    idh = FunV(lambda v: v, NAT, NAT)
+    idh = FunV(lambda v: v)
     bh = ev("fun (g : nat -> nat) -> fun (x : nat) -> g x")
     assert apply_set(apply_set(encode(Leaf(0), NAT), idh), bh) == NatV(0)
 
 
 def test_encode_branch_unfolds_once():
-    idh = FunV(lambda v: v, NAT, NAT)
+    idh = FunV(lambda v: v)
     bh = ev("fun (g : nat -> nat) -> fun (x : nat) -> g x")
     assert apply_set(apply_set(encode(Branch(3, lambda y: Leaf(y)), NAT), idh), bh) == NatV(3)
 

@@ -64,6 +64,40 @@ def test_eval_bad_oracle_spec(capsys):
     assert code == 1
 
 
+def test_eval_negative_oracle_exits_1(capsys):
+    code, out, err = run(capsys, "eval", corpus("a4"), "--oracle", "default=-1")
+    assert code == 1
+    assert out == ""
+    assert "natural" in err
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_deep_literal_exits_1(tmp_path, capsys, command):
+    f = tmp_path / "deep.t"
+    f.write_text("fun (a : nat -> nat) -> 1000")
+    extra = ["--oracle", "default=0"] if command == "eval" else []
+    code, _, err = run(capsys, command, str(f), *extra)
+    assert code == 1
+    assert "recursion" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "a4", "--answers", "-3"],
+        ["tree", "a4", "--answers", "0"],
+        ["tree", "a4", "--depth", "-1"],
+        ["modulus", "aa2", "--oracle", "default=0", "--verify", "-5"],
+    ],
+)
+def test_bad_count_flags_are_usage_errors(capsys, argv):
+    command, name, *flags = argv
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, corpus(name), *flags])
+    assert exit_info.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_tree_golden_example(capsys):
     code, out, _ = run(capsys, "tree", corpus("a4"), "--answers", "2")
     assert code == 0

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from systemt.dialogue import (
+    BAIRE_FN,
     Branch,
-    DFunV,
     Leaf,
     Oracle,
     TreeV,
@@ -17,9 +17,9 @@ from systemt.dialogue import (
     kleisli,
     tree_sexpr,
 )
-from systemt.harness import GenConfig, gen_oracle, gen_tree
-from systemt.set_model import apply_set, eval_set, lift_oracle
-from systemt.syntax import NAT, Arrow, numeral, parse, typecheck
+from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
+from systemt.set_model import FunV, apply_set, eval_set, lift_oracle
+from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, numeral, parse, typecheck
 
 identity = lambda i: i
 
@@ -71,6 +71,15 @@ def test_oracle_spec_errors():
         Oracle.from_spec("1,2,3")
     with pytest.raises(ValueError):
         Oracle.from_spec("a;default=0")
+
+
+def test_oracle_rejects_negative_values():
+    with pytest.raises(ValueError):
+        Oracle((1, -2), 0)
+    with pytest.raises(ValueError):
+        Oracle((), -1)
+    with pytest.raises(ValueError):
+        Oracle.from_spec("default=-1")
 
 
 # -- dieval ---------------------------------------------------------------
@@ -151,7 +160,7 @@ def test_gkleisli_unit_at_ground():
 
 def test_gkleisli_arrow_applies_pointwise():
     # at nat -> nat over a leaf, grafting just applies the function at the leaf
-    fn = lambda n: DFunV(lambda s: TreeV(functor_map(lambda m: m + n, s.tree)))
+    fn = lambda n: FunV(lambda s: TreeV(functor_map(lambda m: m + n, s.tree)))
     out = gkleisli(Arrow(NAT, NAT), fn, Leaf(5))
     probe = TreeV(Leaf(10))
     assert dieval(out.fn(probe).tree, identity) == dieval(fn(5).fn(probe).tree, identity) == 15
@@ -168,6 +177,77 @@ def test_eval_dial_zero_and_numerals():
 def test_eval_dial_pure_rec():
     out = eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))
     assert out.tree == Leaf(2)
+
+
+def test_eval_dial_deep_numeral():
+    assert eval_dial(numeral(3000)).tree == Leaf(3000)
+
+
+# -- differential check of the staged tree model -------------------------------
+
+
+def reference_dial(term, env=()):
+    """Plain structural interpreter of the tree model: no compilation, no
+    recursor shortcuts."""
+    if isinstance(term, Var):
+        return env[term.index]
+    if isinstance(term, Zero):
+        return TreeV(Leaf(0))
+    if isinstance(term, Succ):
+        return TreeV(functor_map(lambda n: n + 1, reference_dial(term.arg, env).tree))
+    if isinstance(term, Lam):
+        return FunV(lambda v: reference_dial(term.body, (v,) + env))
+    if isinstance(term, App):
+        return reference_dial(term.fn, env).fn(reference_dial(term.arg, env))
+    if isinstance(term, Rec):
+        stepv = reference_dial(term.step, env)
+        basev = reference_dial(term.base, env)
+        argv = reference_dial(term.arg, env)
+
+        def iterate(n):
+            acc = basev
+            for k in range(n):
+                acc = stepv.fn(TreeV(Leaf(k))).fn(acc)
+            return acc
+
+        return gkleisli(term.motive, iterate, argv.tree)
+    raise TypeError(term)
+
+
+def _reference_tree(t):
+    return reference_dial(t).fn(FunV(lambda s: TreeV(generic(s.tree)))).tree
+
+
+def test_tree_model_matches_reference_on_generated_terms():
+    for seed in range(60):
+        t = gen_term(GenConfig(seed=seed), BAIRE_FN)
+        got, want = dialogue_tree(t), _reference_tree(t)
+        for alpha in ORACLES + [gen_oracle(GenConfig(seed=seed + 1))]:
+            assert dieval(got, alpha) == dieval(want, alpha), f"seed {seed} oracle {alpha.spec()}"
+
+
+@pytest.mark.parametrize(
+    "src, expect",
+    [
+        # the step ignores the recursive result, so the staged model skips to the last step
+        ("fun (n : nat) -> rec[nat] (fun (p : nat) -> fun (q : nat) -> p) zero n", lambda n: max(0, n - 1)),
+        # the step reads both the index and the result: the uncurried loop
+        (
+            "fun (n : nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) ->"
+            " rec[nat] (fun (j : nat) -> fun (s : nat) -> succ s) r i) zero n",
+            lambda n: n * (n - 1) // 2,
+        ),
+    ],
+    ids=["drops-result", "reads-result"],
+)
+def test_tree_model_recursor_fast_paths_match_reference(src, expect):
+    fn = term(src)
+    staged, ref = eval_dial(fn), reference_dial(fn)
+    args = [TreeV(Leaf(n)) for n in [0, 1, 2, 17, 400]] + [TreeV(generic(Leaf(3)))]
+    for arg in args:
+        got, want = staged.fn(arg).tree, ref.fn(arg).tree
+        for alpha in ORACLES:
+            assert dieval(got, alpha) == dieval(want, alpha) == expect(dieval(arg.tree, alpha))
 
 
 # -- generic sequence ------------------------------------------------------------

@@ -10,7 +10,6 @@ from systemt.set_model import (
     eval_set,
     lift_oracle,
     natv,
-    value_type,
 )
 from systemt.syntax import (
     NAT,
@@ -74,7 +73,7 @@ def test_type_soundness_shapes():
     assert isinstance(ev("zero"), NatV)
     fn = ev("fun (x : nat) -> x")
     assert isinstance(fn, FunV)
-    assert value_type(fn) == Arrow(NAT, NAT)
+    assert infer(typecheck(parse("fun (x : nat) -> x"))) == Arrow(NAT, NAT)
 
 
 def test_weakening_closed_term_ignores_environment():
@@ -99,6 +98,12 @@ def test_compositionality_at_ground_type():
 def test_apply_identity_and_succ():
     assert apply_set(ev("fun (x : nat) -> x"), NatV(3)) == NatV(3)
     assert apply_set(ev("fun (x : nat) -> succ x"), NatV(0)) == NatV(1)
+
+
+def test_natv_rejects_negatives():
+    assert natv(4095) == NatV(4095) and natv(4096) == NatV(4096)
+    with pytest.raises(ValueError):
+        natv(-1)
 
 
 def test_apply_number_panics():
@@ -131,9 +136,7 @@ def reference_eval(term, env=()):
     if isinstance(term, Succ):
         return NatV(reference_eval(term.arg, env).value + 1)
     if isinstance(term, Lam):
-        dom = term.domain
-        cod = infer(term.body, (dom,) + tuple(value_type(v) for v in env))
-        return FunV(lambda v: reference_eval(term.body, (v,) + tuple(env)), dom, cod)
+        return FunV(lambda v: reference_eval(term.body, (v,) + tuple(env)))
     if isinstance(term, App):
         return reference_eval(term.fn, env).fn(reference_eval(term.arg, env))
     if isinstance(term, Rec):
