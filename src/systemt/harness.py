@@ -3,9 +3,19 @@
 Term generation is type-directed: at every site a constructor compatible with
 the target type is drawn by weight, with a strictly decreasing node budget
 guaranteeing termination; an exhausted budget falls back to the canonical
-inhabitant of the target type.  Each suite replays one of the toolkit's
-correctness properties over generated inputs and reports failures together
-with a greedily shrunk witness.
+inhabitant of the target type.
+
+Every suite observes one natural number two ways and checks that they agree.
+A term suite is one row of the table `_SUITES`: a check taking the term's
+views and a point (an oracle, or None for the uniform suites, which look at
+the whole tree once) to a failure detail or None.  The views of a term are
+built on first use and shared by all its points: the set-model value, the
+external dialogue tree and its Church encoding, the compiled internal tree,
+the internal dialogue operator applied to the internal tree, and the
+tree-wide max question over answers 0 and 1.  `run_suite` runs any row over
+terms x points and shrinks each failing term by re-running the same check on
+fresh views of every candidate.  lem36 observes generated trees, not terms,
+and so has no row and nothing to shrink.
 """
 
 from __future__ import annotations
@@ -13,14 +23,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Callable, Optional
 
 from . import church, dialogue, moduli
 from .dialogue import BAIRE_FN, Branch, DTree, Leaf, Oracle
-from .moduli import BoolOracle, embed
-from .set_model import SetValue, apply_set, eval_set, lift_oracle, natv
+from .set_model import apply_set, eval_set, lift_oracle
 from .syntax import (
     NAT,
     App,
@@ -302,99 +311,6 @@ def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Sampled hereditarily extensional equality
-# ---------------------------------------------------------------------------
-
-
-def hee_check(shape: Ty, a: SetValue, b: SetValue, samples: int = 50, seed: int = 0) -> bool:
-    """Sampled extensional comparison at shapes nat | nat -> sigma.
-
-    Exact at nat; at arrows it samples arguments in [0, 50] and recurses, so a
-    False answer is a genuine refutation while True is only sampled evidence.
-    """
-    rng = random.Random(seed)
-    return _hee(shape, a, b, samples, rng)
-
-
-def _hee(shape, a, b, samples, rng):
-    if shape == NAT:
-        return a.value == b.value
-    if not (isinstance(shape, Arrow) and shape.domain == NAT):
-        raise ValueError(f"hee_check is restricted to shapes nat | nat -> sigma, got {shape}")
-    for _ in range(samples):
-        n = natv(rng.randint(0, 50))
-        if not _hee(shape.codomain, apply_set(a, n), apply_set(b, n), samples, rng):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Definable probes for comparing values at translated types
-# ---------------------------------------------------------------------------
-
-
-def handler_battery(motive: Ty):
-    """Leaf/branch handler pairs of type (nat -> A) and ((nat -> A) -> nat -> A),
-    all definable, for observing encoded-tree values at motive A."""
-    leaf_srcs, branch_srcs = _battery_sources(motive)
-    leafs = [eval_set(typecheck(parse(s))) for s in leaf_srcs]
-    branches = [eval_set(typecheck(parse(s))) for s in branch_srcs]
-    return [(e, b) for e in leafs for b in branches]
-
-
-def _battery_sources(motive: Ty):
-    if motive == NAT:
-        return (
-            ["fun (z : nat) -> z", "fun (z : nat) -> succ (succ z)"],
-            [
-                "fun (g : nat -> nat) -> fun (x : nat) -> g x",
-                "fun (g : nat -> nat) -> fun (x : nat) -> g (succ x)",
-                "fun (g : nat -> nat) -> fun (x : nat) -> succ (g (g x))",
-            ],
-        )
-    if motive == Arrow(NAT, NAT):
-        return (
-            ["fun (z : nat) -> fun (w : nat) -> z", "fun (z : nat) -> fun (w : nat) -> succ z"],
-            [
-                "fun (g : nat -> nat -> nat) -> fun (x : nat) -> fun (w : nat) -> g x w",
-                "fun (g : nat -> nat -> nat) -> fun (x : nat) -> fun (w : nat) -> g (g x w) x",
-            ],
-        )
-    if motive == BAIRE_FN:
-        return (
-            [
-                "fun (z : nat) -> fun (u : nat -> nat) -> z",
-                "fun (z : nat) -> fun (u : nat -> nat) -> u z",
-            ],
-            [
-                "fun (g : nat -> (nat -> nat) -> nat) -> fun (x : nat) -> fun (u : nat -> nat) -> g (u x) u",
-                "fun (g : nat -> (nat -> nat) -> nat) -> fun (x : nat) -> fun (u : nat -> nat) -> g x u",
-            ],
-        )
-    raise ValueError(f"no handler battery for motive {motive}")
-
-
-def values_agree(ty: Ty, a: SetValue, b: SetValue, rng: random.Random, depth: int = 3) -> bool:
-    """Compare two values extensionally at ty by probing with definable points."""
-    if ty == NAT:
-        return a.value == b.value
-    for probe in _probes(ty.domain, rng, depth):
-        if not values_agree(ty.codomain, apply_set(a, probe), apply_set(b, probe), rng, depth):
-            return False
-    return True
-
-
-def _probes(ty: Ty, rng: random.Random, depth: int):
-    if ty == NAT:
-        return [natv(rng.randint(0, 20)) for _ in range(depth)]
-    if ty == Arrow(NAT, NAT):
-        specs = [Oracle((rng.randint(0, 9),), rng.randint(0, 9)) for _ in range(depth)]
-        return [lift_oracle(o) for o in specs]
-    cfg = GenConfig(seed=rng.randint(0, 2**32), size_budget=8)
-    return [eval_set(gen_term(cfg, ty))]
-
-
-# ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
@@ -410,7 +326,163 @@ SUITE_IDS = (
     "thm55",
 )
 
-_TREE_SUITES = frozenset({"lem36"})
+
+class _Compiled(dict):
+    """Closed constants compiled on first use within one run, keyed by the
+    function that builds each.  Callers look that function up when they use
+    it, so a test can swap it for a faulty one."""
+
+    def __missing__(self, make):
+        value = self[make] = eval_set(make())
+        return value
+
+
+class _Views:
+    """What the suites observe of one closed term of type (nat -> nat) -> nat,
+    each view built on first use and kept for all the points checked."""
+
+    def __init__(self, term: Term, compiled: _Compiled, seed: int):
+        self.term, self.compiled, self.seed = term, compiled, seed
+
+    @cached_property
+    def value(self):
+        return eval_set(self.term)
+
+    @cached_property
+    def tree(self) -> DTree:
+        return dialogue.dialogue_tree(self.term)
+
+    @cached_property
+    def encoded(self):
+        return church.encode(self.tree, NAT)
+
+    @cached_property
+    def internal(self):
+        return eval_set(church.dialogue_tree_int(self.term, NAT))
+
+    @cached_property
+    def internal_dialogue(self):
+        internal = eval_set(church.dialogue_tree_int(self.term, BAIRE_FN))
+        return apply_set(self.compiled[church.dialogue_f_int], internal)
+
+    @cached_property
+    def uniform_max(self) -> int:
+        return moduli.max_bool_question(moduli.prune(self.tree))
+
+    def value_at(self, alpha: Oracle) -> int:
+        return _at(self.value, lift_oracle(alpha))
+
+
+def _at(fn, *args) -> int:
+    """The natural number a set-model function returns on args."""
+    for arg in args:
+        fn = apply_set(fn, arg)
+    return fn.value
+
+
+def _differ(lhs: int, rhs: int, detail: str) -> Optional[str]:
+    return None if lhs == rhs else detail.format(lhs, rhs)
+
+
+def _thm16(v: _Views, alpha: Oracle) -> Optional[str]:
+    return _differ(v.value_at(alpha), dialogue.dieval(v.tree, alpha), "set model {} != dialogue {}")
+
+
+def _thm37(v: _Views, alpha: Oracle) -> Optional[str]:
+    rhs = _at(v.internal_dialogue, lift_oracle(alpha))
+    return _differ(v.value_at(alpha), rhs, "set model {} != internal dialogue {}")
+
+
+def _pointwise_moduli(tree_view: str):
+    """lem40 and lem44: the external max question and modulus at alpha equal
+    the internal ones, run on the encoded or on the internal tree."""
+
+    def check(v: _Views, alpha: Oracle) -> Optional[str]:
+        tree, a = getattr(v, tree_view), lift_oracle(alpha)
+        return _differ(
+            moduli.max_question(v.tree, alpha),
+            _at(v.compiled[moduli.max_question_int], tree, a),
+            "max question: external {} != internal {}",
+        ) or _differ(
+            moduli.modulus(v.tree, alpha),
+            _at(v.compiled[moduli.modulus_int], tree, a),
+            "modulus: external {} != internal {}",
+        )
+
+    return check
+
+
+def agreeing_oracle(alpha: Oracle, m: int, rng: random.Random) -> Oracle:
+    """An oracle agreeing with alpha on [0, m), arbitrary afterwards."""
+    prefix = tuple(alpha(i) for i in range(m))
+    tail = tuple(rng.randint(0, 10) for _ in range(rng.randint(0, 8)))
+    return Oracle(prefix + tail, rng.randint(0, 10))
+
+
+def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
+    """Oracles agreeing with alpha below the internal modulus give its value."""
+    rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
+    m = _at(v.compiled[moduli.modulus_int], v.internal, lift_oracle(alpha))
+    want = v.value_at(alpha)
+    for _ in range(50):
+        beta = agreeing_oracle(alpha, m, rng)
+        got = v.value_at(beta)
+        if got != want:
+            return (
+                f"modulus {m} not respected: value {want} at {alpha.spec()}"
+                f" but {got} at {beta.spec()}"
+            )
+    return None
+
+
+def _uniform_max_question(tree_view: str):
+    """lem50 and lem54: the external uniform max question equals the internal
+    one, run on the encoded or on the internal tree."""
+
+    def check(v: _Views, _: None) -> Optional[str]:
+        rhs = _at(v.compiled[moduli.max_bool_question_int], getattr(v, tree_view))
+        return _differ(v.uniform_max, rhs, "uniform max question: external {} != internal {}")
+
+    return check
+
+
+def _thm55(v: _Views, _: None) -> Optional[str]:
+    """The internal uniform modulus m is one past the tree's max question, and
+    0/1 points agreeing on [0, m) give equal values: exhaustive over the 2^m
+    prefixes when m <= 12, 200 sampled prefixes otherwise."""
+    m = _at(v.compiled[moduli.modulus_uni_int], v.internal)
+    if m != 1 + v.uniform_max:
+        return f"uniform modulus {m} != 1 + tree max {v.uniform_max}"
+    rng = random.Random(_mix(v.seed, 104729))
+
+    def bits(n: int) -> tuple:
+        return tuple(int(rng.random() < 0.5) for _ in range(n))
+
+    prefixes = product((0, 1), repeat=m) if m <= 12 else (bits(m) for _ in range(200))
+    for prefix in prefixes:
+        a, b = (Oracle(prefix + bits(rng.randint(0, 6)), bits(1)[0]) for _ in range(2))
+        if v.value_at(a) != v.value_at(b):
+            return (
+                f"uniform modulus {m} not respected:"
+                f" {v.value_at(a)} at {a.spec()} vs {v.value_at(b)} at {b.spec()}"
+            )
+    return None
+
+
+#: Each term suite as one check (views, point) -> failure detail or None.
+_SUITES = {
+    "thm16": _thm16,
+    "thm37": _thm37,
+    "lem40": _pointwise_moduli("encoded"),
+    "lem44": _pointwise_moduli("internal"),
+    "thm45": _thm45,
+    "lem50": _uniform_max_question("encoded"),
+    "lem54": _uniform_max_question("internal"),
+    "thm55": _thm55,
+}
+
+#: Suites whose point is None: they observe the whole tree once per term.
+_UNIFORM = frozenset({"lem50", "lem54", "thm55"})
 
 
 def run_suite(
@@ -429,242 +501,32 @@ def run_suite(
         raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
     started = time.perf_counter()
     oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
+    compiled = _Compiled()
     report = Report(suite=which, cases=0)
-    if which in _TREE_SUITES:
-        trees = [gen_tree(replace(cfg, seed=_mix(cfg.seed, i))) for i in range(n_terms)]
-        _run_tree_suite(which, report, trees, oracles)
+    if which == "lem36":  # running a tree = the internal dialogue operator on its encoding
+        for i in range(n_terms):
+            d = gen_tree(replace(cfg, seed=_mix(cfg.seed, i)))
+            internal = apply_set(compiled[church.dialogue_f_int], church.encode(d, BAIRE_FN))
+            for alpha in oracles:
+                report.cases += 1
+                lhs, rhs = dialogue.dieval(d, alpha), _at(internal, lift_oracle(alpha))
+                if lhs != rhs:
+                    detail = f"dieval {lhs} != internal dialogue {rhs}"
+                    report.failures.append(Failure(None, alpha.spec(), detail))
     else:
+        check = _SUITES[which]
         terms = list(extra_terms)
-        terms += [
-            gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_terms)
-        ]
-        _run_term_suite(which, report, terms, oracles, cfg)
+        terms += [gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_terms)]
+        for term in terms:
+            views = _Views(term, compiled, cfg.seed)
+            for alpha in [None] if which in _UNIFORM else oracles:
+                report.cases += 1
+                detail = check(views, alpha)
+                if detail is not None:
+                    small = shrink_term(
+                        term, lambda t: check(_Views(t, compiled, cfg.seed), alpha) is not None
+                    )
+                    spec = None if alpha is None else alpha.spec()
+                    report.failures.append(Failure(pretty(small), spec, detail))
     report.seconds = time.perf_counter() - started
     return report
-
-
-def _run_tree_suite(which, report, trees, oracles):
-    df = eval_set(church.dialogue_f_int())
-    for d in trees:
-        enc_b = church.encode(d, BAIRE_FN)
-        for alpha in oracles:
-            report.cases += 1
-            lhs = dialogue.dieval(d, alpha)
-            rhs = apply_set(apply_set(df, enc_b), lift_oracle(alpha)).value
-            if lhs != rhs:
-                report.failures.append(
-                    Failure(None, alpha.spec(), f"dieval {lhs} != internal dialogue {rhs}")
-                )
-
-
-def _term_check(which, cfg):
-    """Per-term case builder: term -> (oracle -> (ok, detail))."""
-    if which == "thm16":
-
-        def check(term):
-            tv = eval_set(term)
-            d = dialogue.dialogue_tree(term)
-
-            def case(alpha):
-                lhs = apply_set(tv, lift_oracle(alpha)).value
-                rhs = dialogue.dieval(d, alpha)
-                return lhs == rhs, f"set model {lhs} != dialogue {rhs}"
-
-            return case
-
-        return check
-
-    if which == "thm37":
-        df = church.dialogue_f_int()
-
-        def check(term):
-            tv = eval_set(term)
-            internal = eval_set(App(df, church.dialogue_tree_int(term, BAIRE_FN)))
-
-            def case(alpha):
-                a = lift_oracle(alpha)
-                lhs = apply_set(tv, a).value
-                rhs = apply_set(internal, a).value
-                return lhs == rhs, f"set model {lhs} != internal dialogue {rhs}"
-
-            return case
-
-        return check
-
-    if which == "lem40":
-        mqi = eval_set(moduli.max_question_int())
-
-        def check(term):
-            d = dialogue.dialogue_tree(term)
-            enc = church.encode(d, NAT)
-            folded = apply_set(mqi, enc)
-
-            def case(alpha):
-                lhs = moduli.max_question(d, alpha)
-                rhs = apply_set(folded, lift_oracle(alpha)).value
-                if lhs != rhs:
-                    return False, f"max question: external {lhs} != internal {rhs}"
-                lhs_m = moduli.modulus(d, alpha)
-                if lhs_m != rhs + 1:
-                    return False, f"modulus: external {lhs_m} != internal {rhs + 1}"
-                return True, ""
-
-            return case
-
-        return check
-
-    if which == "lem44":
-        mqi = moduli.max_question_int()
-        mi = moduli.modulus_int()
-
-        def check(term):
-            d = dialogue.dialogue_tree(term)
-            dti = church.dialogue_tree_int(term, NAT)
-            maxq_v = eval_set(App(mqi, dti))
-            mod_v = eval_set(App(mi, dti))
-
-            def case(alpha):
-                a = lift_oracle(alpha)
-                ext_q = moduli.max_question(d, alpha)
-                int_q = apply_set(maxq_v, a).value
-                if ext_q != int_q:
-                    return False, f"max question: external {ext_q} != internal {int_q}"
-                ext_m = moduli.modulus(d, alpha)
-                int_m = apply_set(mod_v, a).value
-                if ext_m != int_m:
-                    return False, f"modulus: external {ext_m} != internal {int_m}"
-                return True, ""
-
-            return case
-
-        return check
-
-    if which == "thm45":
-        mi = moduli.modulus_int()
-
-        def check(term):
-            tv = eval_set(term)
-            mod_v = eval_set(App(mi, church.dialogue_tree_int(term, NAT)))
-
-            def case(alpha):
-                rng = random.Random(_mix(cfg.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
-                m = apply_set(mod_v, lift_oracle(alpha)).value
-                want = apply_set(tv, lift_oracle(alpha)).value
-                for _ in range(50):
-                    beta = agreeing_oracle(alpha, m, rng)
-                    got = apply_set(tv, lift_oracle(beta)).value
-                    if got != want:
-                        return False, (
-                            f"modulus {m} not respected: value {want} at {alpha.spec()}"
-                            f" but {got} at {beta.spec()}"
-                        )
-                return True, ""
-
-            return case
-
-        return check
-
-    raise ValueError(which)
-
-
-def agreeing_oracle(alpha: Oracle, m: int, rng: random.Random) -> Oracle:
-    """An oracle agreeing with alpha on [0, m), arbitrary afterwards."""
-    prefix = tuple(alpha(i) for i in range(m))
-    tail = tuple(rng.randint(0, 10) for _ in range(rng.randint(0, 8)))
-    return Oracle(prefix + tail, rng.randint(0, 10))
-
-
-def _run_term_suite(which, report, terms, oracles, cfg):
-    if which in ("lem50", "lem54", "thm55"):
-        return _run_uniform_suite(which, report, terms, cfg)
-    check = _term_check(which, cfg)
-    for term in terms:
-        case = check(term)
-        for alpha in oracles:
-            report.cases += 1
-            ok, detail = case(alpha)
-            if not ok:
-                report.failures.append(_shrunk_failure(which, cfg, term, alpha, detail))
-
-
-def _shrunk_failure(which, cfg, term, alpha, detail) -> Failure:
-    def still_fails(candidate):
-        ok, _ = _term_check(which, cfg)(candidate)(alpha)
-        return not ok
-
-    small = shrink_term(term, still_fails)
-    return Failure(pretty(small), alpha.spec(), detail)
-
-
-def _run_uniform_suite(which, report, terms, cfg):
-    mbqi = eval_set(moduli.max_bool_question_int())
-    mui = moduli.modulus_uni_int()
-    for term in terms:
-        report.cases += 1
-        d = dialogue.dialogue_tree(term)
-        pruned = moduli.prune(d)
-        ext_q = moduli.max_bool_question(pruned)
-        detail = None
-        if which == "lem50":
-            int_q = apply_set(mbqi, church.encode(d, NAT)).value
-            if ext_q != int_q:
-                detail = f"uniform max question: external {ext_q} != internal {int_q}"
-        elif which == "lem54":
-            int_q = eval_set(App(moduli.max_bool_question_int(), church.dialogue_tree_int(term, NAT))).value
-            if ext_q != int_q:
-                detail = f"uniform max question: external {ext_q} != internal {int_q}"
-        else:  # thm55
-            m = eval_set(App(mui, church.dialogue_tree_int(term, NAT))).value
-            if m != 1 + ext_q:
-                detail = f"uniform modulus {m} != 1 + tree max {ext_q}"
-            else:
-                detail = _check_uniform_continuity(term, m, cfg)
-        if detail is not None:
-            report.failures.append(_uniform_failure(which, cfg, term, detail))
-    return report
-
-
-def _check_uniform_continuity(term, m, cfg) -> Optional[str]:
-    """All Cantor points agreeing on [0, m) must give equal values: exhaustive
-    over the 2^m prefixes when m <= 12, sampled otherwise."""
-    tv = eval_set(term)
-    rng = random.Random(_mix(cfg.seed, 104729))
-
-    def value_at(bo: BoolOracle) -> int:
-        return apply_set(tv, lift_oracle(embed(bo))).value
-
-    def check_prefix(bits) -> Optional[str]:
-        pair = []
-        for _ in range(2):
-            tail = tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 6)))
-            pair.append(BoolOracle(bits + tail, rng.random() < 0.5))
-        v1, v2 = value_at(pair[0]), value_at(pair[1])
-        if v1 != v2:
-            return (
-                f"uniform modulus {m} not respected:"
-                f" {v1} at {pair[0].spec()} vs {v2} at {pair[1].spec()}"
-            )
-        return None
-
-    if m <= 12:
-        for bits in product((False, True), repeat=m):
-            bad = check_prefix(bits)
-            if bad:
-                return bad
-    else:
-        for _ in range(200):
-            bits = tuple(rng.random() < 0.5 for _ in range(m))
-            bad = check_prefix(bits)
-            if bad:
-                return bad
-    return None
-
-
-def _uniform_failure(which, cfg, term, detail) -> Failure:
-    def still_fails(candidate):
-        probe = Report(suite=which, cases=0)
-        _run_uniform_suite(which, probe, [candidate], cfg)
-        return not probe.passed
-
-    small = shrink_term(term, still_fails)
-    return Failure(pretty(small), None, detail)

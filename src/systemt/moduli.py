@@ -2,58 +2,17 @@
 
 The external operators work on inductive trees; each has a closed System T
 counterpart acting on the Church encoding.  Points of the Cantor space are
-handled through their embedding into the Baire space (false -> 0, true -> 1),
-with a pruning operation restricting trees to boolean answers.
+the Baire points whose values are all 0 or 1, and `prune` restricts a tree to
+those answers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .church import church_type
-from .dialogue import Branch, DTree, Leaf, Oracle
+from .dialogue import Branch, DTree, Leaf
 from .syntax import NAT, App, Arrow, Lam, Succ, Term, Var, Zero, numeral, parse, typecheck
-
-
-@dataclass(frozen=True)
-class BoolOracle:
-    """A point of the Cantor space: explicit finite prefix, constant tail."""
-
-    prefix: "tuple[bool, ...]" = ()
-    default: bool = False
-
-    def __post_init__(self):
-        prefix = tuple(bool(b) for b in self.prefix)
-        while prefix and prefix[-1] == self.default:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "default", bool(self.default))
-
-    def lookup(self, i: int) -> bool:
-        return self.prefix[i] if i < len(self.prefix) else self.default
-
-    def __call__(self, i: int) -> bool:
-        return self.lookup(i)
-
-    def spec(self) -> str:
-        head = ",".join(str(int(b)) for b in self.prefix)
-        tail = f"default={int(self.default)}"
-        return f"{head};{tail}" if head else tail
-
-    @classmethod
-    def from_spec(cls, text: str) -> "BoolOracle":
-        from .dialogue import _split_spec
-
-        head, default = _split_spec(text)
-        if default not in ("0", "1") or any(part not in ("0", "1") for part in head):
-            raise ValueError(f"bad boolean oracle spec {text!r}: bits must be 0 or 1")
-        return cls(tuple(part == "1" for part in head), default == "1")
-
-
-def embed(alpha: BoolOracle) -> Oracle:
-    """Embed a Cantor point into the Baire space pointwise (false 0, true 1)."""
-    return Oracle(tuple(int(b) for b in alpha.prefix), int(alpha.default))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +84,7 @@ def modulus_int() -> Term:
 
 
 def prune(tree: DTree) -> DTree:
-    """Restrict an arbitrary tree to boolean answers via the Cantor embedding."""
+    """Restrict an arbitrary tree to the answers 0 and 1 (False and True also serve)."""
     if isinstance(tree, Leaf):
         return tree
     children = tree.children

@@ -8,8 +8,9 @@ the surface syntax, which the parser produces and the typechecker elaborates.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -210,10 +211,6 @@ class UnboundVariable(Exception):
         super().__init__(f"{loc}unbound variable {name}")
 
 
-class ArityError(Exception):
-    """A substitution is missing an assignment for a free index."""
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -240,10 +237,8 @@ def _tokenize(text: str) -> "list[_Token]":
             starts.append(i + 1)
 
     def pos(offset):
-        line = 0
-        while line + 1 < len(starts) and starts[line + 1] <= offset:
-            line += 1
-        return line + 1, offset - starts[line] + 1
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
 
     tokens = []
     for m in _TOKEN_RE.finditer(text):
@@ -434,7 +429,10 @@ def infer(term: Term, ctx=()) -> Ty:
     if isinstance(term, Zero):
         return NAT
     if isinstance(term, Succ):
-        ty = infer(term.arg, ctx)
+        # numerals are Succ chains: walk them in a loop, not one frame each
+        while isinstance(term, Succ):
+            term = term.arg
+        ty = infer(term, ctx)
         if ty != NAT:
             raise TypeCheckError(None, NAT, ty)
         return NAT
@@ -464,7 +462,7 @@ def infer(term: Term, ctx=()) -> Ty:
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Shifting and free occurrences
 # ---------------------------------------------------------------------------
 
 
@@ -486,34 +484,6 @@ def shift(term: Term, amount: int, cutoff: int = 0) -> Term:
     if isinstance(term, Lam):
         return Lam(term.domain, shift(term.body, amount, cutoff + 1))
     return App(shift(term.fn, amount, cutoff), shift(term.arg, amount, cutoff))
-
-
-def substitute(term: Term, subst: "Mapping[int, Term]") -> Term:
-    """Simultaneous capture-free substitution for the free variables of term.
-
-    Every free index of term must be assigned a replacement; replacements are
-    shifted as they cross binders, so closed replacements are used as-is.
-    """
-
-    def go(t: Term, depth: int) -> Term:
-        if isinstance(t, Var):
-            if t.index < depth:
-                return t
-            j = t.index - depth
-            if j not in subst:
-                raise ArityError(f"no substitute for free index {j}")
-            return shift(subst[j], depth)
-        if isinstance(t, Zero):
-            return t
-        if isinstance(t, Succ):
-            return Succ(go(t.arg, depth))
-        if isinstance(t, Rec):
-            return Rec(t.motive, go(t.step, depth), go(t.base, depth), go(t.arg, depth))
-        if isinstance(t, Lam):
-            return Lam(t.domain, go(t.body, depth + 1))
-        return App(go(t.fn, depth), go(t.arg, depth))
-
-    return go(term, 0)
 
 
 def occurs_free(term: Term, index: int) -> bool:

@@ -27,9 +27,11 @@ from systemt.dialogue import (
     functor_map,
     kleisli,
 )
-from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree, handler_battery, values_agree
+from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
 from systemt.set_model import FunV, NatV, apply_set, eval_set, lift_oracle, natv
 from systemt.syntax import NAT, App, Arrow, arrow, infer, numeral, parse, typecheck
+
+from extensional import handler_battery, values_agree
 
 MOTIVES = [NAT, Arrow(NAT, NAT), BAIRE_FN]
 

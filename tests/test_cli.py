@@ -71,14 +71,29 @@ def test_eval_negative_oracle_exits_1(capsys):
     assert "natural" in err
 
 
-@pytest.mark.parametrize("command", ["check", "eval"])
-def test_deep_literal_exits_1(tmp_path, capsys, command):
+#: Output on the literal 1000; None where the command still exits 1, because
+#: the translation recurses once per succ.
+DEEP_LITERAL_OUT = {
+    "check": "(nat -> nat) -> nat\n",
+    "eval": "1000\n",
+    "tree": "(leaf 1000)\n",
+    "modulus": None,
+    "umodulus": None,
+}
+
+
+@pytest.mark.parametrize("command", list(DEEP_LITERAL_OUT))
+def test_deep_literal(tmp_path, capsys, command):
+    out = DEEP_LITERAL_OUT[command]
     f = tmp_path / "deep.t"
     f.write_text("fun (a : nat -> nat) -> 1000")
-    extra = ["--oracle", "default=0"] if command == "eval" else []
-    code, _, err = run(capsys, command, str(f), *extra)
-    assert code == 1
-    assert "recursion" in err
+    extra = ["--oracle", "default=0"] if command in ("eval", "modulus") else []
+    code, got, err = run(capsys, command, str(f), *extra)
+    if out is None:
+        assert code == 1
+        assert "recursion" in err
+    else:
+        assert (code, got) == (0, out)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import pytest
 
-from systemt import church, dialogue
+from systemt import church, dialogue, moduli
 from systemt.dialogue import BAIRE_FN, Branch, Leaf
 from systemt.harness import (
     CORPUS,
@@ -11,12 +11,13 @@ from systemt.harness import (
     corpus_terms,
     gen_oracle,
     gen_term,
-    hee_check,
     run_suite,
     shrink_term,
 )
 from systemt.set_model import NatV, eval_set
 from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero, infer, numeral, parse, typecheck
+
+from extensional import hee_check
 
 
 # -- generation -----------------------------------------------------------------
@@ -116,6 +117,53 @@ def test_all_suites_pass_at_small_scale(suite):
     report = run_suite(suite, GenConfig(seed=11), n_terms=15, n_oracles=4, extra_terms=corpus_terms())
     assert report.passed, report.failures[:3]
     assert report.cases > 0
+
+
+ORIGINAL_TREE_INT = church.dialogue_tree_int
+ORIGINAL_ENCODE = church.encode
+ORACLE = Arrow(NAT, NAT)
+TREE_NAT = church.church_type(NAT, NAT)
+TREE_BAIRE = church.church_type(NAT, BAIRE_FN)
+
+
+def _off_by_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def _constant(ty, body):
+    return lambda: Lam(ty, body)
+
+
+def _constant_tree_int(term, motive):
+    return ORIGINAL_TREE_INT(corpus_terms()[0], motive)  # always the constant term's tree
+
+
+#: Per suite, a fault in one function that the suite checks: (module, name, replacement).
+FAULTS = {
+    "thm16": (dialogue, "dieval", _off_by_one(dialogue.dieval)),
+    "lem36": (church, "dialogue_f_int", _constant(TREE_BAIRE, Lam(ORACLE, Zero()))),
+    "thm37": (church, "dialogue_tree_int", _constant_tree_int),
+    "lem40": (moduli, "max_question", _off_by_one(moduli.max_question)),
+    "lem44": (church, "dialogue_tree_int", _constant_tree_int),
+    "thm45": (moduli, "modulus_int", _constant(TREE_NAT, Lam(ORACLE, Zero()))),
+    "lem50": (church, "encode", lambda tree, motive: ORIGINAL_ENCODE(Leaf(0), motive)),
+    "lem54": (moduli, "max_bool_question", _off_by_one(moduli.max_bool_question)),
+    "thm55": (moduli, "modulus_uni_int", _constant(TREE_NAT, Zero())),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_every_suite_catches_a_fault(monkeypatch, suite):
+    # the fault reaches one side of the suite's comparison only, so a check that
+    # compared a view with itself would pass here and fail this test
+    module, name, faulty = FAULTS[suite]
+    monkeypatch.setattr(module, name, faulty)
+    report = run_suite(suite, GenConfig(seed=5), n_terms=5, n_oracles=4, extra_terms=corpus_terms())
+    assert not report.passed
+    for failure in report.failures:
+        assert failure.detail
+        if suite != "lem36":
+            assert infer(typecheck(parse(failure.term)), ()) == BAIRE_FN
 
 
 def test_corrupted_translation_is_caught_with_shrunk_witness(monkeypatch):

@@ -1,12 +1,9 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from systemt.church import dialogue_tree_int, encode
 from systemt.dialogue import Branch, Leaf, Oracle, dialogue_tree, dieval
 from systemt.harness import GenConfig, gen_oracle, gen_tree
 from systemt.moduli import (
-    BoolOracle,
-    embed,
     max_bool_question,
     max_bool_question_int,
     max_question,
@@ -28,10 +25,11 @@ def term(src):
     return typecheck(parse(src))
 
 
+#: Points of the Cantor space: oracles whose values are all 0 or 1.
 bool_oracles = st.builds(
-    BoolOracle,
-    st.lists(st.booleans(), max_size=6).map(tuple),
-    st.booleans(),
+    Oracle,
+    st.lists(st.integers(0, 1), max_size=6).map(tuple),
+    st.integers(0, 1),
 )
 
 
@@ -83,26 +81,7 @@ def test_internal_external_max_question_agree_on_trees():
             assert max_question(d, alpha) == apply_set(enc, lift_oracle(alpha)).value
 
 
-# -- Cantor embedding and pruning ----------------------------------------------
-
-
-def test_embed_pointwise():
-    assert embed(BoolOracle((), False)) == Oracle((), 0)
-    assert embed(BoolOracle((True, False), True)) == Oracle((1, 0), 1)
-
-
-@given(bool_oracles, st.integers(0, 30))
-def test_embed_lands_in_bits(alpha, i):
-    assert embed(alpha)(i) in (0, 1)
-    assert embed(alpha)(i) == int(alpha(i))
-
-
-def test_boolean_oracle_spec_roundtrip():
-    alpha = BoolOracle((True, False), False)
-    assert BoolOracle.from_spec(alpha.spec()) == alpha
-    assert BoolOracle.from_spec("1,0;default=0") == alpha
-    with pytest.raises(ValueError):
-        BoolOracle.from_spec("2;default=0")
+# -- pruning to the Cantor space ----------------------------------------------
 
 
 def test_prune_leaf():
@@ -120,7 +99,7 @@ def test_prune_branch_children_by_bit():
 @given(bool_oracles, st.integers(0, 40))
 def test_prune_commutes_with_embedding(alpha, seed):
     d = gen_tree(GenConfig(seed=seed))
-    assert dieval(prune(d), alpha) == dieval(d, embed(alpha))
+    assert dieval(prune(d), alpha) == dieval(d, alpha)
 
 
 # -- uniform max question and modulus ----------------------------------------------
@@ -148,10 +127,8 @@ def test_path_max_never_exceeds_tree_max():
         d = gen_tree(GenConfig(seed=seed))
         bound = max_bool_question(prune(d))
         for oseed in range(6):
-            alpha = BoolOracle(
-                tuple(b == "1" for b in format(oseed, "03b")), oseed % 2 == 0
-            )
-            assert max_question(d, embed(alpha)) <= bound
+            alpha = Oracle(tuple(int(b) for b in format(oseed, "03b")), int(oseed % 2 == 0))
+            assert max_question(d, alpha) <= bound
 
 
 def test_modulus_uni_examples():
