@@ -22,7 +22,6 @@ from .syntax import (
     Ty,
     Var,
     Zero,
-    shift,
 )
 
 #: The motive of a fold is just a System T type.
@@ -133,31 +132,49 @@ def translate(term: Term, motive: Motive) -> Term:
 
     Variables keep their indices (the context is translated pointwise), and
     the saturated recursor is eta-expanded over its numeral argument before
-    being grafted through the translated scrutinee.
+    being grafted through the translated scrutinee.  That puts the
+    recursor's translated step under two new binders and its base under one,
+    so their free indices move up by 2 and 1.  Rather than shift each
+    translated step and base afterwards, one pass carries an index renaming
+    (ren, k): free index i becomes ren[i], or i + k past the end of ren.
+    A binder extends ren with its own index 0, and the step and base are
+    translated with every target bumped by 2 and 1.
     """
-    if isinstance(term, Var):
-        return term
-    if isinstance(term, Zero):
-        return App(leaf_int(motive), Zero())
-    if isinstance(term, Succ):
-        return _apps(functor_int(motive), _SUCC_FN, translate(term.arg, motive))
-    if isinstance(term, Rec):
-        step = Lam(NAT, App(shift(translate(term.step, motive), 2), App(leaf_int(motive), Var(0))))
-        rec_fn = Lam(
-            NAT,
-            Rec(
-                translate_type(term.motive, motive),
-                step,
-                shift(translate(term.base, motive), 1),
-                Var(0),
-            ),
-        )
-        return _apps(gkleisli_int(term.motive, motive), rec_fn, translate(term.arg, motive))
-    if isinstance(term, Lam):
-        return Lam(translate_type(term.domain, motive), translate(term.body, motive))
-    if isinstance(term, App):
-        return App(translate(term.fn, motive), translate(term.arg, motive))
-    raise TypeError(f"not a term: {term!r}")
+    leaf = leaf_int(motive)
+    zero = App(leaf, Zero())
+    succ = App(functor_int(motive), _SUCC_FN)
+
+    def go(t: Term, ren: tuple, k: int) -> Term:
+        if isinstance(t, Var):
+            i = t.index
+            j = ren[i] if i < len(ren) else i + k
+            return t if i == j else Var(j)
+        if isinstance(t, App):
+            return App(go(t.fn, ren, k), go(t.arg, ren, k))
+        if isinstance(t, Lam):
+            if ren or k:
+                ren = (0, *[r + 1 for r in ren])
+            return Lam(translate_type(t.domain, motive), go(t.body, ren, k))
+        if isinstance(t, Zero):
+            return zero
+        if isinstance(t, Succ):
+            return App(succ, go(t.arg, ren, k))
+        if isinstance(t, Rec):
+            step = go(t.step, tuple(r + 2 for r in ren), k + 2)
+            base = go(t.base, tuple(r + 1 for r in ren), k + 1)
+            rec_fn = Lam(
+                NAT,
+                Rec(
+                    translate_type(t.motive, motive),
+                    Lam(NAT, App(step, App(leaf, Var(0)))),
+                    base,
+                    Var(0),
+                ),
+            )
+            return App(App(gkleisli_int(t.motive, motive), rec_fn), go(t.arg, ren, k))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(term, (), 0)
 
 
 def dialogue_tree_int(term: Term, motive: Motive) -> Term:

@@ -517,14 +517,15 @@ def run_suite(
         check = _SUITES[which]
         terms = list(extra_terms)
         terms += [gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_terms)]
-        for term in terms:
-            views = _Views(term, compiled, cfg.seed)
+        for i, term in enumerate(terms):
+            seed = _mix(cfg.seed, i)  # each term's probes draw from their own seed
+            views = _Views(term, compiled, seed)
             for alpha in [None] if which in _UNIFORM else oracles:
                 report.cases += 1
                 detail = check(views, alpha)
                 if detail is not None:
                     small = shrink_term(
-                        term, lambda t: check(_Views(t, compiled, cfg.seed), alpha) is not None
+                        term, lambda t: check(_Views(t, compiled, seed), alpha) is not None
                     )
                     spec = None if alpha is None else alpha.spec()
                     report.failures.append(Failure(pretty(small), spec, detail))

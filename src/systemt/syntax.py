@@ -8,7 +8,6 @@ the surface syntax, which the parser produces and the typechecker elaborates.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -217,149 +216,129 @@ class UnboundVariable(Exception):
 
 _KEYWORDS = frozenset({"zero", "succ", "rec", "fun", "nat"})
 
-_TOKEN_RE = re.compile(r"->|[()\[\]:]|\d+|[A-Za-z_][A-Za-z0-9_]*|\S")
+# one group per token class, so a match's `lastindex` classifies it
+_TOKEN_RE = re.compile(r"(->|[()\[\]:])|(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
 
 _ATOM_STARTERS = frozenset({"zero", "succ", "rec", "(", "num", "ident"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | literal text for keywords and symbols
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> "list[_Token]":
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-
-    def pos(offset):
-        line = bisect_right(starts, offset)
-        return line, offset - starts[line - 1] + 1
-
+def _tokenize(text: str) -> "list[tuple]":
+    """The tokens of text as tuples (kind, text, line, col), the last of kind
+    "eof".  kind is "num", "ident", or the token text itself for keywords and
+    symbols; line and col are 1-based."""
     tokens = []
+    line, line_start = 1, 0
+    nl = text.find("\n")
     for m in _TOKEN_RE.finditer(text):
-        line, col = pos(m.start())
-        tok = m.group()
-        if tok.isdigit():
-            tokens.append(_Token("num", tok, line, col))
-        elif tok[0].isalpha() or tok[0] == "_":
+        start = m.start()
+        while 0 <= nl < start:
+            line, line_start = line + 1, nl + 1
+            nl = text.find("\n", line_start)
+        tok, group = m.group(), m.lastindex
+        if group == 3:
             kind = tok if tok in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, tok, line, col))
-        elif tok in ("->", "(", ")", "[", "]", ":"):
-            tokens.append(_Token(tok, tok, line, col))
+        elif group == 1:
+            kind = tok
+        elif group == 2 or tok.isdigit():
+            kind = "num"
+        elif tok.isalpha():
+            kind = "ident"
         else:
-            raise ParseError(line, col, f"a token (got {tok!r})")
-    last_line, last_col = pos(len(text)) if text else (1, 1)
-    tokens.append(_Token("eof", "", last_line, last_col))
+            raise ParseError(line, start - line_start + 1, f"a token (got {tok!r})")
+        tokens.append((kind, tok, line, start - line_start + 1))
+    line += text.count("\n", line_start)
+    tokens.append(("eof", "", line, len(text) - text.rfind("\n")))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the token tuples; self.i indexes the next one."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
+    def expect(self, kind: str, what: Optional[str] = None) -> tuple:
         tok = self.tokens[self.i]
+        if tok[0] != kind:
+            raise ParseError(tok[2], tok[3], what or f"'{kind}'")
         self.i += 1
         return tok
-
-    def expect(self, kind: str, what: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.col, what or f"'{kind}'")
-        return self.next()
 
     # -- types ---------------------------------------------------------
 
     def ty(self) -> Ty:
         left = self.ty_atom()
-        if self.peek().kind == "->":
-            self.next()
+        if self.tokens[self.i][0] == "->":
+            self.i += 1
             return Arrow(left, self.ty())
         return left
 
     def ty_atom(self) -> Ty:
-        tok = self.peek()
-        if tok.kind == "nat":
-            self.next()
+        kind, _, line, col = self.tokens[self.i]
+        self.i += 1
+        if kind == "nat":
             return NAT
-        if tok.kind == "(":
-            self.next()
+        if kind == "(":
             inner = self.ty()
             self.expect(")")
             return inner
-        raise ParseError(tok.line, tok.col, "a type")
+        raise ParseError(line, col, "a type")
 
     # -- terms ---------------------------------------------------------
 
     def term(self) -> RawTerm:
-        tok = self.peek()
-        if tok.kind == "fun":
-            self.next()
+        kind, _, line, col = self.tokens[self.i]
+        if kind == "fun":
+            self.i += 1
             self.expect("(")
-            name = self.expect("ident", "a variable name").text
+            name = self.expect("ident", "a variable name")[1]
             self.expect(":")
             dom = self.ty()
             self.expect(")")
             self.expect("->")
-            body = self.term()
-            return RLam(name, dom, body, pos=(tok.line, tok.col))
+            return RLam(name, dom, self.term(), pos=(line, col))
         return self.app()
 
     def app(self) -> RawTerm:
         head = self.atom()
-        while self.peek().kind in _ATOM_STARTERS:
-            arg = self.atom()
-            head = RApp(head, arg, pos=head.pos)
+        tokens = self.tokens
+        while tokens[self.i][0] in _ATOM_STARTERS:
+            head = RApp(head, self.atom(), pos=head.pos)
         return head
 
     def atom(self) -> RawTerm:
-        tok = self.peek()
-        p = (tok.line, tok.col)
-        if tok.kind == "zero":
-            self.next()
-            return RZero(pos=p)
-        if tok.kind == "num":
-            self.next()
-            return RNum(int(tok.text), pos=p)
-        if tok.kind == "ident":
-            self.next()
-            return RVar(tok.text, pos=p)
-        if tok.kind == "succ":
-            self.next()
-            return RSucc(self.atom(), pos=p)
-        if tok.kind == "rec":
-            self.next()
+        kind, text, line, col = self.tokens[self.i]
+        self.i += 1
+        if kind == "ident":
+            return RVar(text, pos=(line, col))
+        if kind == "(":
+            inner = self.term()
+            self.expect(")")
+            return inner
+        if kind == "num":
+            return RNum(int(text), pos=(line, col))
+        if kind == "zero":
+            return RZero(pos=(line, col))
+        if kind == "succ":
+            return RSucc(self.atom(), pos=(line, col))
+        if kind == "rec":
             self.expect("[")
             motive = self.ty()
             self.expect("]")
             step = self.atom()
             base = self.atom()
-            arg = self.atom()
-            return RRec(motive, step, base, arg, pos=p)
-        if tok.kind == "(":
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        raise ParseError(tok.line, tok.col, "a term")
+            return RRec(motive, step, base, self.atom(), pos=(line, col))
+        raise ParseError(line, col, "a term")
 
 
 def parse(text: str) -> RawTerm:
     """Parse one surface-syntax term; application is left-associative."""
     p = _Parser(text)
     term = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, "end of input")
+    kind, _, line, col = p.tokens[p.i]
+    if kind != "eof":
+        raise ParseError(line, col, "end of input")
     return term
 
 
@@ -462,28 +441,8 @@ def infer(term: Term, ctx=()) -> Ty:
 
 
 # ---------------------------------------------------------------------------
-# Shifting and free occurrences
+# Free occurrences
 # ---------------------------------------------------------------------------
-
-
-def shift(term: Term, amount: int, cutoff: int = 0) -> Term:
-    """Add amount to every free index >= cutoff."""
-    if isinstance(term, Var):
-        return Var(term.index + amount) if term.index >= cutoff else term
-    if isinstance(term, Zero):
-        return term
-    if isinstance(term, Succ):
-        return Succ(shift(term.arg, amount, cutoff))
-    if isinstance(term, Rec):
-        return Rec(
-            term.motive,
-            shift(term.step, amount, cutoff),
-            shift(term.base, amount, cutoff),
-            shift(term.arg, amount, cutoff),
-        )
-    if isinstance(term, Lam):
-        return Lam(term.domain, shift(term.body, amount, cutoff + 1))
-    return App(shift(term.fn, amount, cutoff), shift(term.arg, amount, cutoff))
 
 
 def occurs_free(term: Term, index: int) -> bool:

@@ -29,9 +29,10 @@ from systemt.dialogue import (
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
 from systemt.set_model import FunV, NatV, apply_set, eval_set, lift_oracle, natv
-from systemt.syntax import NAT, App, Arrow, arrow, infer, numeral, parse, typecheck
+from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, arrow, infer, numeral, parse, typecheck
 
 from extensional import handler_battery, values_agree
+from test_syntax import shift
 
 MOTIVES = [NAT, Arrow(NAT, NAT), BAIRE_FN]
 
@@ -171,6 +172,72 @@ def test_translate_preserves_type_translation(motive):
     for seed in range(25):
         t = gen_term(GenConfig(seed=seed), BAIRE_FN)
         assert infer(translate(t, motive)) == translate_type(BAIRE_FN, motive)
+
+
+def reference_translate(t, motive):
+    """The two-pass translation: translate the recursor's step and base, then
+    shift them under the two and one binders the eta-expansion adds."""
+    if isinstance(t, Var):
+        return t
+    if isinstance(t, Zero):
+        return App(leaf_int(motive), Zero())
+    if isinstance(t, Succ):
+        return App(App(functor_int(motive), Lam(NAT, Succ(Var(0)))), reference_translate(t.arg, motive))
+    if isinstance(t, Rec):
+        step = Lam(NAT, App(shift(reference_translate(t.step, motive), 2), App(leaf_int(motive), Var(0))))
+        rec_fn = Lam(
+            NAT,
+            Rec(
+                translate_type(t.motive, motive),
+                step,
+                shift(reference_translate(t.base, motive), 1),
+                Var(0),
+            ),
+        )
+        return App(App(gkleisli_int(t.motive, motive), rec_fn), reference_translate(t.arg, motive))
+    if isinstance(t, Lam):
+        return Lam(translate_type(t.domain, motive), reference_translate(t.body, motive))
+    return App(reference_translate(t.fn, motive), reference_translate(t.arg, motive))
+
+
+OPEN_CONTEXTS = [(NAT, Arrow(NAT, NAT)), (Arrow(NAT, NAT), NAT, NAT)]
+
+
+@pytest.mark.parametrize("motive", [NAT, BAIRE_FN])
+def test_translate_matches_two_pass_reference(motive):
+    """The one-pass renaming gives exactly the shifted two-pass output, on
+    closed terms and on open terms whose free indices the shifts move."""
+    cases = []
+    for seed in range(300):
+        cfg = GenConfig(seed=seed, size_budget=40)
+        cases.append((gen_term(cfg, BAIRE_FN), ()))
+        for ctx in OPEN_CONTEXTS:
+            cases.append((gen_term(cfg, NAT, ctx), ctx))
+    for t, ctx in cases:
+        got = translate(t, motive)
+        assert got == reference_translate(t, motive)
+        assert infer(got, [translate_type(ty, motive) for ty in ctx]) == translate_type(infer(t, ctx), motive)
+
+
+def test_translate_renames_inside_nested_rec_steps():
+    # the inner step reads the free a and c, bumped by 2 twice, and the outer
+    # step's n, bumped by 2 once
+    scope = (("c", NAT), ("a", arrow(NAT, NAT, NAT)))
+    t = typecheck(
+        parse(
+            "rec[nat] (fun (n : nat) -> fun (m : nat) ->"
+            " rec[nat] (fun (p : nat) -> fun (q : nat) -> a c (a n q)) (a n m) m)"
+            " (a c c) c"
+        ),
+        scope,
+    )
+    inner_step = t.step.body.body.step.body.body
+    assert inner_step == App(App(Var(5), Var(4)), App(App(Var(5), Var(3)), Var(0)))
+    for motive in MOTIVES:
+        got = translate(t, motive)
+        assert got == reference_translate(t, motive)
+        ctx = [translate_type(ty, motive) for _, ty in scope]
+        assert infer(got, ctx) == church_type(NAT, motive)
 
 
 @pytest.mark.parametrize("motive", MOTIVES)

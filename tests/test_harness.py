@@ -1,6 +1,6 @@
 import pytest
 
-from systemt import church, dialogue, moduli
+from systemt import church, dialogue, harness, moduli
 from systemt.dialogue import BAIRE_FN, Branch, Leaf
 from systemt.harness import (
     CORPUS,
@@ -208,6 +208,23 @@ def test_corrupted_uniform_modulus_is_caught(monkeypatch):
     monkeypatch.setattr(church, "dialogue_tree_int", wrong)
     report = run_suite("lem54", GenConfig(seed=5), n_terms=10, n_oracles=0, extra_terms=corpus_terms())
     assert not report.passed
+
+
+def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
+    seen = {}
+    original = harness._Views.value_at
+
+    def recording(views, alpha):
+        seen.setdefault(views.term, []).append(alpha.spec())
+        return original(views, alpha)
+
+    monkeypatch.setattr(harness._Views, "value_at", recording)
+    report = run_suite("thm55", GenConfig(seed=5), n_terms=0, extra_terms=corpus_terms())
+    assert report.passed
+    terms = dict(zip((name for name, _ in CORPUS), corpus_terms()))
+    const7, a0 = seen[terms["const7"]], seen[terms["a0"]]
+    assert len(const7) == len(a0)  # the same uniform modulus, so as many probes
+    assert const7 != a0
 
 
 # -- shrinking --------------------------------------------------------------------

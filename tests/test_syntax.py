@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from systemt.harness import GenConfig, gen_term
 from systemt.syntax import (
     NAT,
     App,
@@ -19,6 +22,7 @@ from systemt.syntax import (
     UnboundVariable,
     Var,
     Zero,
+    _tokenize,
     arrow,
     format_ty,
     infer,
@@ -26,7 +30,6 @@ from systemt.syntax import (
     numeral_value,
     parse,
     pretty,
-    shift,
     typecheck,
 )
 
@@ -94,6 +97,23 @@ def test_parse_whitespace_insensitive():
     assert parse("succ\n  ( succ   zero )") == parse("succ (succ zero)")
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_parse_any_whitespace_between_tokens(seed, data):
+    t = gen_term(GenConfig(seed=seed, size_budget=30), BAIRE_FN)
+    toks = re.findall(r"->|[()\[\]:]|\w+", pretty(t))
+    seps = data.draw(st.lists(st.text(" \t\n", min_size=1, max_size=3), min_size=len(toks), max_size=len(toks)))
+    text = "".join(sep + tok for sep, tok in zip(seps, toks))
+    assert typecheck(parse(text)) == t
+    # each token is reported at its own line and column
+    offset, where = 0, []
+    for sep, tok in zip(seps, toks):
+        offset += len(sep)
+        where.append((tok, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)))
+        offset += len(tok)
+    assert [(tok, line, col) for _, tok, line, col in _tokenize(text)[:-1]] == where
+
+
 # -- typechecking -----------------------------------------------------------
 
 
@@ -125,6 +145,27 @@ def test_typecheck_unbound_variable():
     with pytest.raises(UnboundVariable) as e:
         typecheck(parse("fun (a : nat) -> b"))
     assert e.value.name == "b"
+
+
+@pytest.mark.parametrize(
+    "text, error, where",
+    [
+        ("fun (a : nat -> nat) ->\n  succ a", TypeCheckError, (2, 8)),
+        ("fun (a : nat) ->\n\n   b", UnboundVariable, (3, 4)),
+        (
+            "fun (a : nat -> nat) ->\n"
+            "  rec[nat] (fun (n : nat) -> fun (m : nat) -> m)\n"
+            "    a\n"
+            "    (a 0)",
+            TypeCheckError,
+            (3, 5),
+        ),
+    ],
+)
+def test_type_errors_carry_position(text, error, where):
+    with pytest.raises(error) as e:
+        typecheck(parse(text))
+    assert e.value.location == where
 
 
 def test_typecheck_application_argument_mismatch():
@@ -163,6 +204,26 @@ def test_numeral_has_n_successors(n):
 
 
 # -- substitution -----------------------------------------------------------
+
+
+def shift(term, amount, cutoff=0):
+    """Add amount to every free index >= cutoff."""
+    if isinstance(term, Var):
+        return Var(term.index + amount) if term.index >= cutoff else term
+    if isinstance(term, Zero):
+        return term
+    if isinstance(term, Succ):
+        return Succ(shift(term.arg, amount, cutoff))
+    if isinstance(term, Rec):
+        return Rec(
+            term.motive,
+            shift(term.step, amount, cutoff),
+            shift(term.base, amount, cutoff),
+            shift(term.arg, amount, cutoff),
+        )
+    if isinstance(term, Lam):
+        return Lam(term.domain, shift(term.body, amount, cutoff + 1))
+    return App(shift(term.fn, amount, cutoff), shift(term.arg, amount, cutoff))
 
 
 class ArityError(Exception):
