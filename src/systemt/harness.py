@@ -58,20 +58,17 @@ from .syntax import (
 class GenConfig:
     seed: int = 0
     size_budget: int = 25
-    numeral_cap: int = 4
-    rec_weight: int = 2
-    lam_weight: int = 4
-    app_weight: int = 5
-    var_weight: int = 4
-
-    def __post_init__(self):
-        weights = (self.rec_weight, self.lam_weight, self.app_weight, self.var_weight)
-        if any(w < 0 for w in weights) or not any(weights):
-            raise ValueError("weights must be nonnegative and not all zero")
 
 
+#: Relative weights of the constructors drawn at a site, and the largest
+#: numeral drawn.
+_VAR_WEIGHT = 4
+_APP_WEIGHT = 5
+_REC_WEIGHT = 2
+_LAM_WEIGHT = 4
 _NUMERAL_WEIGHT = 2
 _SUCC_WEIGHT = 1
+_NUMERAL_CAP = 4
 
 #: Argument types synthesized for generated applications.
 _ARG_POOL = (NAT, Arrow(NAT, NAT))
@@ -98,10 +95,10 @@ def gen_term(cfg: GenConfig, target: Ty, ctx=()) -> Term:
     """A well-typed term of the target type, deterministic in the seed."""
     rng = random.Random(cfg.seed)
     budget = [cfg.size_budget]
-    return _gen(rng, cfg, budget, target, tuple(ctx))
+    return _gen(rng, budget, target, tuple(ctx))
 
 
-def _gen(rng, cfg, budget, target, ctx) -> Term:
+def _gen(rng, budget, target, ctx) -> Term:
     if budget[0] <= 0:
         return canonical(target)
     budget[0] -= 1
@@ -109,17 +106,17 @@ def _gen(rng, cfg, budget, target, ctx) -> Term:
     choices = []
     var_sites = [i for i, ty in enumerate(ctx) if ty == target]
     if var_sites:
-        choices.append(("var", cfg.var_weight))
+        choices.append(("var", _VAR_WEIGHT))
     if budget[0] >= 4 and _ty_size(target) <= 8:
         # app and rec fan out into children at larger types; unchecked, the
         # fallback inhabitants of those types would swamp the node budget
-        choices.append(("app", cfg.app_weight))
-        choices.append(("rec", cfg.rec_weight))
+        choices.append(("app", _APP_WEIGHT))
+        choices.append(("rec", _REC_WEIGHT))
     if target == NAT:
         choices.append(("num", _NUMERAL_WEIGHT))
         choices.append(("succ", _SUCC_WEIGHT))
     else:
-        choices.append(("lam", cfg.lam_weight))
+        choices.append(("lam", _LAM_WEIGHT))
 
     kinds = [k for k, w in choices for _ in range(w)]
     kind = rng.choice(kinds)
@@ -127,13 +124,13 @@ def _gen(rng, cfg, budget, target, ctx) -> Term:
     if kind == "var":
         return Var(rng.choice(var_sites))
     if kind == "num":
-        n = rng.randint(0, max(0, min(cfg.numeral_cap, budget[0])))
+        n = rng.randint(0, max(0, min(_NUMERAL_CAP, budget[0])))
         budget[0] -= n
         return numeral(n)
     if kind == "succ":
-        return Succ(_gen(rng, cfg, budget, NAT, ctx))
+        return Succ(_gen(rng, budget, NAT, ctx))
     if kind == "lam":
-        body = _gen(rng, cfg, budget, target.codomain, (target.domain,) + ctx)
+        body = _gen(rng, budget, target.codomain, (target.domain,) + ctx)
         return Lam(target.domain, body)
     if kind == "app":
         arg_ty = rng.choice(_ARG_POOL)
@@ -148,14 +145,14 @@ def _gen(rng, cfg, budget, target, ctx) -> Term:
         ]
         if heads and rng.random() < 0.75:
             i, arg_ty = rng.choice(heads)
-            return App(Var(i), _gen(rng, cfg, budget, arg_ty, ctx))
-        fn = _gen(rng, cfg, budget, Arrow(arg_ty, target), ctx)
-        arg = _gen(rng, cfg, budget, arg_ty, ctx)
+            return App(Var(i), _gen(rng, budget, arg_ty, ctx))
+        fn = _gen(rng, budget, Arrow(arg_ty, target), ctx)
+        arg = _gen(rng, budget, arg_ty, ctx)
         return App(fn, arg)
     # rec at the target motive
-    step = _gen(rng, cfg, budget, arrow(NAT, target, target), ctx)
-    base = _gen(rng, cfg, budget, target, ctx)
-    arg = _gen(rng, cfg, budget, NAT, ctx)
+    step = _gen(rng, budget, arrow(NAT, target, target), ctx)
+    base = _gen(rng, budget, target, ctx)
+    arg = _gen(rng, budget, NAT, ctx)
     return Rec(target, step, base, arg)
 
 
@@ -247,43 +244,26 @@ class Report:
         return f"{self.suite}: {self.cases} cases, {self.seconds:.1f}s [{state}]"
 
 
-def _subterm_sites(term: Term, ctx=()):
-    """Yield (path, subterm, type-in-context) for every proper position."""
-
-    def walk(t, ctx, path):
-        yield path, t, ctx
-        if isinstance(t, Succ):
-            yield from walk(t.arg, ctx, path + ("arg",))
-        elif isinstance(t, Rec):
-            yield from walk(t.step, ctx, path + ("step",))
-            yield from walk(t.base, ctx, path + ("base",))
-            yield from walk(t.arg, ctx, path + ("arg",))
-        elif isinstance(t, Lam):
-            yield from walk(t.body, (t.domain,) + ctx, path + ("body",))
-        elif isinstance(t, App):
-            yield from walk(t.fn, ctx, path + ("fn",))
-            yield from walk(t.arg, ctx, path + ("arg",))
-
-    yield from walk(term, tuple(ctx), ())
-
-
-def _replace_at(term: Term, path, new: Term) -> Term:
-    if not path:
-        return new
-    key, rest = path[0], path[1:]
+def _shrink_candidates(term: Term, ctx=()):
+    """Yield term with one subterm replaced by the canonical inhabitant of its
+    type, for each subterm not already canonical, outermost first in
+    pre-order."""
+    replacement = canonical(infer(term, ctx))
+    if term != replacement:
+        yield replacement
     if isinstance(term, Succ):
-        return Succ(_replace_at(term.arg, rest, new))
-    if isinstance(term, Rec):
-        parts = {"step": term.step, "base": term.base, "arg": term.arg}
-        parts[key] = _replace_at(parts[key], rest, new)
-        return Rec(term.motive, parts["step"], parts["base"], parts["arg"])
-    if isinstance(term, Lam):
-        return Lam(term.domain, _replace_at(term.body, rest, new))
-    if isinstance(term, App):
-        if key == "fn":
-            return App(_replace_at(term.fn, rest, new), term.arg)
-        return App(term.fn, _replace_at(term.arg, rest, new))
-    raise ValueError(f"bad path {path!r} into {term!r}")
+        yield from (Succ(arg) for arg in _shrink_candidates(term.arg, ctx))
+    elif isinstance(term, Rec):
+        motive, step, base, arg = term.motive, term.step, term.base, term.arg
+        yield from (Rec(motive, s, base, arg) for s in _shrink_candidates(step, ctx))
+        yield from (Rec(motive, step, b, arg) for b in _shrink_candidates(base, ctx))
+        yield from (Rec(motive, step, base, a) for a in _shrink_candidates(arg, ctx))
+    elif isinstance(term, Lam):
+        inner = (term.domain,) + ctx
+        yield from (Lam(term.domain, body) for body in _shrink_candidates(term.body, inner))
+    elif isinstance(term, App):
+        yield from (App(fn, term.arg) for fn in _shrink_candidates(term.fn, ctx))
+        yield from (App(term.fn, arg) for arg in _shrink_candidates(term.arg, ctx))
 
 
 def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
@@ -293,12 +273,7 @@ def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
     improved = True
     while improved:
         improved = False
-        for path, sub, ctx in _subterm_sites(term):
-            ty = infer(sub, ctx)
-            replacement = canonical(ty)
-            if sub == replacement:
-                continue
-            candidate = _replace_at(term, path, replacement)
+        for candidate in _shrink_candidates(term):
             try:
                 failing = still_fails(candidate)
             except Exception:

@@ -1,8 +1,10 @@
 """System T syntax: types, de Bruijn terms, parsing, typechecking, printing.
 
-The core term representation is intrinsically scoped with de Bruijn indices
-(index 0 is the most recently bound variable).  Named variables exist only in
-the surface syntax, which the parser produces and the typechecker elaborates.
+Terms are intrinsically scoped with de Bruijn indices (index 0 is the most
+recently bound variable) and carry the source position they were parsed
+from.  Named variables exist only in the surface syntax: the parser resolves
+each name to its index against the binders around it, and `infer` is the one
+typechecker, reporting a type error at the position of the subterm at fault.
 """
 
 from __future__ import annotations
@@ -58,20 +60,25 @@ def format_ty(ty: Ty) -> str:
 # Core terms (de Bruijn)
 # ---------------------------------------------------------------------------
 
+#: A 1-based source position (line, col); None on terms not read from text.
+Pos = Optional[tuple]
+
 
 @dataclass(frozen=True)
 class Var:
     index: int
+    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Zero:
-    pass
+    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Succ:
     arg: "Term"
+    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,18 +92,21 @@ class Rec:
     step: "Term"
     base: "Term"
     arg: "Term"
+    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Lam:
     domain: Ty
     body: "Term"
+    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class App:
     fn: "Term"
     arg: "Term"
+    pos: Pos = field(default=None, compare=False, repr=False)
 
 
 Term = Union[Var, Zero, Succ, Rec, Lam, App]
@@ -119,63 +129,6 @@ def numeral_value(term: Term) -> Optional[int]:
         n += 1
         term = term.arg
     return n if isinstance(term, Zero) else None
-
-
-# ---------------------------------------------------------------------------
-# Surface syntax
-# ---------------------------------------------------------------------------
-
-Pos = tuple
-
-
-@dataclass(frozen=True)
-class RVar:
-    name: str
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class RZero:
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class RNum:
-    value: int
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class RSucc:
-    arg: "RawTerm"
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class RRec:
-    motive: Ty
-    step: "RawTerm"
-    base: "RawTerm"
-    arg: "RawTerm"
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class RLam:
-    name: str
-    domain: Ty
-    body: "RawTerm"
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class RApp:
-    fn: "RawTerm"
-    arg: "RawTerm"
-    pos: Pos = field(default=(0, 0), compare=False)
-
-
-RawTerm = Union[RVar, RZero, RNum, RSucc, RRec, RLam, RApp]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +192,7 @@ def _tokenize(text: str) -> "list[tuple]":
             kind = tok if tok in _KEYWORDS else "ident"
         elif group == 1:
             kind = tok
-        elif group == 2 or tok.isdigit():
+        elif group == 2:
             kind = "num"
         elif tok.isalpha():
             kind = "ident"
@@ -252,11 +205,19 @@ def _tokenize(text: str) -> "list[tuple]":
 
 
 class _Parser:
-    """Recursive descent over the token tuples; self.i indexes the next one."""
+    """Recursive descent over the token tuples; self.i indexes the next one.
+
+    self.scope holds the names bound around the next token, innermost first,
+    so a name's de Bruijn index is its position there.  The first unbound
+    name is kept in self.unbound and raised only once the whole text has
+    parsed, so that any parse error takes precedence over it.
+    """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.scope: "tuple[str, ...]" = ()
+        self.unbound: Optional[UnboundVariable] = None
 
     def expect(self, kind: str, what: Optional[str] = None) -> tuple:
         tok = self.tokens[self.i]
@@ -287,7 +248,7 @@ class _Parser:
 
     # -- terms ---------------------------------------------------------
 
-    def term(self) -> RawTerm:
+    def term(self) -> Term:
         kind, _, line, col = self.tokens[self.i]
         if kind == "fun":
             self.i += 1
@@ -297,48 +258,64 @@ class _Parser:
             dom = self.ty()
             self.expect(")")
             self.expect("->")
-            return RLam(name, dom, self.term(), pos=(line, col))
+            outer = self.scope
+            self.scope = (name,) + outer
+            body = self.term()
+            self.scope = outer
+            return Lam(dom, body, (line, col))
         return self.app()
 
-    def app(self) -> RawTerm:
+    def app(self) -> Term:
         head = self.atom()
         tokens = self.tokens
         while tokens[self.i][0] in _ATOM_STARTERS:
-            head = RApp(head, self.atom(), pos=head.pos)
+            head = App(head, self.atom(), head.pos)
         return head
 
-    def atom(self) -> RawTerm:
+    def atom(self) -> Term:
         kind, text, line, col = self.tokens[self.i]
         self.i += 1
         if kind == "ident":
-            return RVar(text, pos=(line, col))
+            try:
+                return Var(self.scope.index(text), (line, col))
+            except ValueError:
+                if self.unbound is None:
+                    self.unbound = UnboundVariable(text, (line, col))
+                return Var(0, (line, col))
         if kind == "(":
             inner = self.term()
             self.expect(")")
             return inner
         if kind == "num":
-            return RNum(int(text), pos=(line, col))
+            n = int(text)
+            return Succ(numeral(n - 1), (line, col)) if n else Zero((line, col))
         if kind == "zero":
-            return RZero(pos=(line, col))
+            return Zero((line, col))
         if kind == "succ":
-            return RSucc(self.atom(), pos=(line, col))
+            return Succ(self.atom(), (line, col))
         if kind == "rec":
             self.expect("[")
             motive = self.ty()
             self.expect("]")
             step = self.atom()
             base = self.atom()
-            return RRec(motive, step, base, self.atom(), pos=(line, col))
+            return Rec(motive, step, base, self.atom(), (line, col))
         raise ParseError(line, col, "a term")
 
 
-def parse(text: str) -> RawTerm:
-    """Parse one surface-syntax term; application is left-associative."""
+def parse(text: str) -> Term:
+    """Parse one closed surface-syntax term; application is left-associative.
+
+    Raises ParseError on malformed text, else UnboundVariable at the first
+    name no binder around it declares.  The result is not yet typechecked.
+    """
     p = _Parser(text)
     term = p.term()
     kind, _, line, col = p.tokens[p.i]
     if kind != "eof":
         raise ParseError(line, col, "end of input")
+    if p.unbound is not None:
+        raise p.unbound
     return term
 
 
@@ -347,63 +324,20 @@ def parse(text: str) -> RawTerm:
 # ---------------------------------------------------------------------------
 
 
-def typecheck(raw: RawTerm, scope=()) -> Term:
-    """Elaborate a surface term into a well-typed de Bruijn term.
-
-    scope is a sequence of (name, type) pairs, innermost binding first; the
-    resulting term lives in the context of just the types.
-    """
-    term, _ = _synth(raw, tuple(scope))
+def typecheck(term: Term) -> Term:
+    """Check that a closed term is well typed, and return it."""
+    infer(term)
     return term
 
 
-def _synth(raw: RawTerm, scope) -> "tuple[Term, Ty]":
-    if isinstance(raw, RVar):
-        for i, (name, ty) in enumerate(scope):
-            if name == raw.name:
-                return Var(i), ty
-        raise UnboundVariable(raw.name, raw.pos)
-    if isinstance(raw, RZero):
-        return Zero(), NAT
-    if isinstance(raw, RNum):
-        return numeral(raw.value), NAT
-    if isinstance(raw, RSucc):
-        arg, ty = _synth(raw.arg, scope)
-        if ty != NAT:
-            raise TypeCheckError(raw.arg.pos, NAT, ty)
-        return Succ(arg), NAT
-    if isinstance(raw, RRec):
-        want_step = arrow(NAT, raw.motive, raw.motive)
-        step, sty = _synth(raw.step, scope)
-        if sty != want_step:
-            raise TypeCheckError(raw.step.pos, want_step, sty)
-        base, bty = _synth(raw.base, scope)
-        if bty != raw.motive:
-            raise TypeCheckError(raw.base.pos, raw.motive, bty)
-        arg, aty = _synth(raw.arg, scope)
-        if aty != NAT:
-            raise TypeCheckError(raw.arg.pos, NAT, aty)
-        return Rec(raw.motive, step, base, arg), raw.motive
-    if isinstance(raw, RLam):
-        body, bty = _synth(raw.body, ((raw.name, raw.domain),) + scope)
-        return Lam(raw.domain, body), Arrow(raw.domain, bty)
-    if isinstance(raw, RApp):
-        fn, fty = _synth(raw.fn, scope)
-        if not isinstance(fty, Arrow):
-            raise TypeCheckError(raw.fn.pos, "a function type", fty)
-        arg, aty = _synth(raw.arg, scope)
-        if aty != fty.domain:
-            raise TypeCheckError(raw.arg.pos, fty.domain, aty)
-        return App(fn, arg), fty.codomain
-    raise TypeError(f"not a raw term: {raw!r}")
-
-
 def infer(term: Term, ctx=()) -> Ty:
-    """Synthesize the type of a well-scoped de Bruijn term."""
+    """Synthesize the type of a well-scoped de Bruijn term in ctx, a sequence
+    of types, innermost binding first.  A TypeCheckError carries the
+    position of the subterm at fault (None if it was not parsed)."""
     ctx = tuple(ctx)
     if isinstance(term, Var):
         if term.index >= len(ctx):
-            raise TypeCheckError(None, "a bound variable", f"index {term.index} in context of length {len(ctx)}")
+            raise TypeCheckError(term.pos, "a bound variable", f"index {term.index} in context of length {len(ctx)}")
         return ctx[term.index]
     if isinstance(term, Zero):
         return NAT
@@ -413,29 +347,29 @@ def infer(term: Term, ctx=()) -> Ty:
             term = term.arg
         ty = infer(term, ctx)
         if ty != NAT:
-            raise TypeCheckError(None, NAT, ty)
+            raise TypeCheckError(term.pos, NAT, ty)
         return NAT
     if isinstance(term, Rec):
         want_step = arrow(NAT, term.motive, term.motive)
         sty = infer(term.step, ctx)
         if sty != want_step:
-            raise TypeCheckError(None, want_step, sty)
+            raise TypeCheckError(term.step.pos, want_step, sty)
         bty = infer(term.base, ctx)
         if bty != term.motive:
-            raise TypeCheckError(None, term.motive, bty)
+            raise TypeCheckError(term.base.pos, term.motive, bty)
         aty = infer(term.arg, ctx)
         if aty != NAT:
-            raise TypeCheckError(None, NAT, aty)
+            raise TypeCheckError(term.arg.pos, NAT, aty)
         return term.motive
     if isinstance(term, Lam):
         return Arrow(term.domain, infer(term.body, (term.domain,) + ctx))
     if isinstance(term, App):
         fty = infer(term.fn, ctx)
         if not isinstance(fty, Arrow):
-            raise TypeCheckError(None, "a function type", fty)
+            raise TypeCheckError(term.fn.pos, "a function type", fty)
         aty = infer(term.arg, ctx)
         if aty != fty.domain:
-            raise TypeCheckError(None, fty.domain, aty)
+            raise TypeCheckError(term.arg.pos, fty.domain, aty)
         return fty.codomain
     raise TypeError(f"not a term: {term!r}")
 
@@ -477,7 +411,7 @@ def _binder_name(depth: int) -> str:
 
 
 def pretty(term: Term, free_names=()) -> str:
-    """Deterministic surface syntax; parse(pretty(t)) elaborates back to t.
+    """Deterministic surface syntax; parse(pretty(t)) == t for closed t.
 
     Binder names are chosen by depth, numerals are re-sugared, and anything
     that is not an atom is parenthesized in argument position.

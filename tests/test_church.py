@@ -222,22 +222,22 @@ def test_translate_matches_two_pass_reference(motive):
 def test_translate_renames_inside_nested_rec_steps():
     # the inner step reads the free a and c, bumped by 2 twice, and the outer
     # step's n, bumped by 2 once
-    scope = (("c", NAT), ("a", arrow(NAT, NAT, NAT)))
+    # the recursor is open: c and a are bound outside it, c innermost
+    ctx = (NAT, arrow(NAT, NAT, NAT))
     t = typecheck(
         parse(
-            "rec[nat] (fun (n : nat) -> fun (m : nat) ->"
+            "fun (a : nat -> nat -> nat) -> fun (c : nat) ->"
+            " rec[nat] (fun (n : nat) -> fun (m : nat) ->"
             " rec[nat] (fun (p : nat) -> fun (q : nat) -> a c (a n q)) (a n m) m)"
             " (a c c) c"
-        ),
-        scope,
-    )
+        )
+    ).body.body
     inner_step = t.step.body.body.step.body.body
     assert inner_step == App(App(Var(5), Var(4)), App(App(Var(5), Var(3)), Var(0)))
     for motive in MOTIVES:
         got = translate(t, motive)
         assert got == reference_translate(t, motive)
-        ctx = [translate_type(ty, motive) for _, ty in scope]
-        assert infer(got, ctx) == church_type(NAT, motive)
+        assert infer(got, [translate_type(ty, motive) for ty in ctx]) == church_type(NAT, motive)
 
 
 @pytest.mark.parametrize("motive", MOTIVES)

@@ -40,6 +40,16 @@ def test_check_parse_error_exits_1(tmp_path, capsys):
     assert "expected" in err
 
 
+def test_check_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but no numeral: it must not reach int()
+    bad = tmp_path / "bad.t"
+    bad.write_text("fun (a : nat -> nat) -> \u00b2", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == "error: 1:25: expected a token (got '\u00b2')\n"
+
+
 def test_check_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "check", "no-such-file.t")
     assert code == 1

@@ -15,7 +15,7 @@ from systemt.harness import (
     shrink_term,
 )
 from systemt.set_model import NatV, eval_set
-from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero, infer, numeral, parse, typecheck
+from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero, infer, numeral, parse, pretty, typecheck
 
 from extensional import hee_check
 
@@ -58,13 +58,6 @@ def test_gen_term_stays_near_budget():
     for seed in range(30):
         cfg = GenConfig(seed=seed, size_budget=25)
         assert size(gen_term(cfg, BAIRE_FN)) <= 25 + 40
-
-
-def test_gen_config_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        GenConfig(rec_weight=-1)
-    with pytest.raises(ValueError):
-        GenConfig(rec_weight=0, lam_weight=0, app_weight=0, var_weight=0)
 
 
 def test_gen_oracle_reproducible_and_bounded():
@@ -231,7 +224,7 @@ def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
 
 
 def test_shrink_reaches_a_locally_minimal_witness():
-    from systemt.harness import _replace_at, _subterm_sites
+    from systemt.harness import _shrink_candidates
 
     big = typecheck(
         parse(
@@ -247,12 +240,20 @@ def test_shrink_reaches_a_locally_minimal_witness():
     small = shrink_term(big, fails_if_queries)
     assert fails_if_queries(small)
     # no single canonical replacement keeps the failure: the greedy loop is done
-    for path, sub, ctx in _subterm_sites(small):
-        replacement = canonical(infer(sub, ctx))
-        if sub == replacement:
-            continue
-        candidate = _replace_at(small, path, replacement)
+    candidates = list(_shrink_candidates(small))
+    assert candidates
+    for candidate in candidates:
+        assert infer(candidate) == BAIRE_FN
         assert not fails_if_queries(candidate)
+    # one candidate per non-canonical subterm, outermost first, in pre-order
+    t = typecheck(parse("fun (a : nat -> nat) -> a (succ 1)"))
+    assert [pretty(c) for c in _shrink_candidates(t)] == [
+        "fun (a : nat -> nat) -> zero",  # the whole term
+        "fun (a : nat -> nat) -> zero",  # the body
+        "fun (a : nat -> nat) -> (fun (b : nat) -> zero) 2",  # the head a
+        "fun (a : nat -> nat) -> a zero",  # succ 1
+        "fun (a : nat -> nat) -> a 1",  # 1; its zero is canonical already
+    ]
 
 
 def test_shrink_keeps_term_well_typed():

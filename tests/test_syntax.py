@@ -10,12 +10,6 @@ from systemt.syntax import (
     Arrow,
     Lam,
     ParseError,
-    RApp,
-    RLam,
-    RNum,
-    RSucc,
-    RVar,
-    RZero,
     Rec,
     Succ,
     TypeCheckError,
@@ -40,16 +34,26 @@ BAIRE_FN = arrow(arrow(NAT, NAT), NAT)
 
 
 def test_parse_zero_literal():
-    assert parse("zero") == RZero()
+    assert parse("zero") == Zero()
 
 
 def test_parse_lambda_application_chain():
-    raw = parse("fun (a : nat -> nat) -> a (a 2)")
-    assert raw == RLam("a", Arrow(NAT, NAT), RApp(RVar("a"), RApp(RVar("a"), RNum(2))))
+    t = parse("fun (a : nat -> nat) -> a (a 2)")
+    assert t == Lam(Arrow(NAT, NAT), App(Var(0), App(Var(0), numeral(2))))
 
 
 def test_parse_application_left_associative():
-    assert parse("f x y") == RApp(RApp(RVar("f"), RVar("x")), RVar("x").__class__("y"))
+    t = parse("fun (f : nat -> nat -> nat) -> fun (x : nat) -> fun (y : nat) -> f x y")
+    assert t.body.body.body == App(App(Var(2), Var(1)), Var(0))
+
+
+def test_parse_resolves_names_to_the_nearest_binder():
+    t = parse("fun (x : nat) -> fun (y : nat) -> fun (x : nat -> nat) -> x y")
+    assert t.body.body.body == App(Var(0), Var(1))
+    # each node carries the position it was read from; an application, its head's
+    app = t.body.body.body
+    where = [t.pos, t.body.body.pos, app.pos, app.fn.pos, app.arg.pos]
+    assert where == [(1, 1), (1, 35), (1, 59), (1, 59), (1, 61)]
 
 
 def test_parse_truncated_lambda():
@@ -69,16 +73,17 @@ def test_parse_type_arrow_right_associative():
 
 
 def test_parse_succ_binds_one_atom():
-    assert parse("succ zero") == RSucc(RZero())
+    assert parse("succ zero") == Succ(Zero())
     # the argument of succ is a single atom; parens group larger terms
-    assert parse("succ (a 1)") == RSucc(RApp(RVar("a"), RNum(1)))
+    t = parse("fun (a : nat -> nat) -> succ (a 1)")
+    assert t.body == Succ(App(Var(0), numeral(1)))
 
 
 def test_parse_rec_three_atoms():
     raw = parse("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 3")
     assert raw.motive == NAT
-    assert raw.base == RZero()
-    assert raw.arg == RNum(3)
+    assert raw.base == Zero()
+    assert raw.arg == numeral(3)
 
 
 def test_parse_error_carries_position():
@@ -86,6 +91,8 @@ def test_parse_error_carries_position():
         ("fun (a :\n) -> a", 2, 1),
         # many lines: the tokenizer must find each token's line quickly
         ("fun (a : nat -> nat) ->\n" + "succ\n" * 20000 + "  ?", 20002, 3),
+        # a parse error wins over an unbound name earlier in the text
+        ("fun (a : nat) -> b )", 1, 20),
     ]
     for text, line, col in cases:
         with pytest.raises(ParseError) as e:
@@ -160,6 +167,17 @@ def test_typecheck_unbound_variable():
             TypeCheckError,
             (3, 5),
         ),
+        # the rec step, the rec argument, applying a nat, the argument type
+        ("fun (a : nat -> nat) ->\n  rec[nat] a\n    0 (a 0)", TypeCheckError, (2, 12)),
+        (
+            "fun (a : nat -> nat) ->\n  rec[nat] (fun (n : nat) -> fun (m : nat) -> m) 0\n    a",
+            TypeCheckError,
+            (3, 5),
+        ),
+        ("fun (a : nat -> nat) ->\n  (a 0) 1", TypeCheckError, (2, 4)),
+        ("fun (a : nat -> nat) ->\n  a\n   a", TypeCheckError, (3, 4)),
+        # under a chain of succ, the position of what the chain ends in
+        ("fun (a : nat -> nat) -> succ (succ a)", TypeCheckError, (1, 36)),
     ],
 )
 def test_type_errors_carry_position(text, error, where):
@@ -174,8 +192,12 @@ def test_typecheck_application_argument_mismatch():
 
 
 def test_typecheck_open_term_with_scope():
-    t = typecheck(parse("a 3"), scope=(("a", Arrow(NAT, NAT)),))
+    # files hold closed terms; an open term is a subterm, typed in its binders' context
+    with pytest.raises(UnboundVariable):
+        parse("a 3")
+    t = typecheck(parse("fun (a : nat -> nat) -> a 3")).body
     assert t == App(Var(0), numeral(3))
+    assert infer(t, (Arrow(NAT, NAT),)) == NAT
 
 
 def test_typecheck_deterministic():
