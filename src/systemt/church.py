@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .dialogue import BAIRE_FN, DTree, Leaf, require_baire_fn
-from .set_model import FunV, SetValue, apply_set, eval_set, natv
+from .set_model import FunV, SetValue, apply_value, eval_set
 from .syntax import (
     NAT,
     App,
@@ -217,9 +217,8 @@ def encode(tree: DTree, motive: Motive) -> SetValue:
 
     def go(t: DTree) -> SetValue:
         if isinstance(t, Leaf):
-            return apply_set(leaf_v, natv(t.value))
+            return apply_value(leaf_v, t.value)
         children = t.children
-        lifted = FunV(lambda v: go(children(v.value)))
-        return apply_set(apply_set(branch_v, lifted), natv(t.query))
+        return apply_value(branch_v, FunV(lambda n: go(children(n))), t.query)
 
     return go(tree)

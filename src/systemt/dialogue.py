@@ -6,7 +6,8 @@ represented as total functions, so trees over the full answer alphabet of
 naturals stay finite objects; materialization happens only when printing.
 
 The tree model is the record `TREE_MODEL` for the staged compiler in
-`set_model`, which serves both models: only the ground type differs.
+`set_model`, which serves both models: only the ground type differs.  Its
+ground values are bare trees, and `FunV` marks its function values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .set_model import Compiled, FunV, Model, compile_term
+from .set_model import FunV, Model, compile_term
 from .syntax import NAT, Arrow, Term, Ty, arrow, format_ty, infer
 
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
@@ -62,11 +63,8 @@ class Oracle:
             prefix = prefix[:-1]
         object.__setattr__(self, "prefix", prefix)
 
-    def lookup(self, i: int) -> int:
-        return self.prefix[i] if i < len(self.prefix) else self.default
-
     def __call__(self, i: int) -> int:
-        return self.lookup(i)
+        return self.prefix[i] if i < len(self.prefix) else self.default
 
     def spec(self) -> str:
         head = ",".join(str(n) for n in self.prefix)
@@ -130,38 +128,28 @@ def generic(tree: DTree) -> DTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeV:
-    tree: DTree
-
-
-DialValue = Union[TreeV, FunV]
-
-DialEnv = tuple
+DialValue = Union[DTree, FunV]
 
 
 def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: DTree) -> DialValue:
     """Kleisli extension lifted pointwise through arrow types."""
     if ty == NAT:
-        return TreeV(kleisli(lambda n: fn(n).tree, tree))
+        return kleisli(fn, tree)
     cod = ty.codomain
     return FunV(lambda s: gkleisli(cod, lambda n: fn(n).fn(s), tree))
 
 
-def _tree_plus(corec: Compiled, k: int) -> Compiled:
-    return lambda env: TreeV(functor_map(lambda n: n + k, corec(env).tree))
-
-
-def _tree_rec(motive: Ty, argc: Compiled, iterate) -> Compiled:
-    return lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env).tree)
-
-
 #: The tree model: a natural is the tree of queries that computes it, and the
 #: recursor is grafted onto every leaf of its scrutinee's tree.
-TREE_MODEL = Model(lambda k: TreeV(Leaf(k)), _tree_plus, _tree_rec)
+TREE_MODEL = Model(
+    nat=Leaf,
+    plus=lambda corec, k: lambda env: functor_map(lambda n: n + k, corec(env)),
+    rec=lambda motive, argc, iterate: lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env)),
+    indices=lambda n: map(Leaf, range(n)),
+)
 
 
-def eval_dial(term: Term, env: DialEnv = ()) -> DialValue:
+def eval_dial(term: Term, env=()) -> DialValue:
     """Evaluate a well-typed term in the tree model."""
     return compile_term(term, TREE_MODEL)(tuple(env))
 
@@ -176,7 +164,7 @@ def require_baire_fn(term: Term) -> None:
 def dialogue_tree(term: Term) -> DTree:
     """The tree of queries a closed term of type (nat -> nat) -> nat performs."""
     require_baire_fn(term)
-    return eval_dial(term).fn(FunV(lambda s: TreeV(generic(s.tree)))).tree
+    return eval_dial(term).fn(FunV(generic))
 
 
 # ---------------------------------------------------------------------------

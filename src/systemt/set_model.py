@@ -5,15 +5,17 @@ environments; the result is applied any number of times without walking the
 term again.  The same compiler serves the set model here, where terms evaluate
 to numbers and host functions, and the tree model in `dialogue`, where ground
 values are dialogue trees.  Following effectful forcing, the two models differ
-only at the ground type, so a `Model` record holds just the three things that
-touch it.
+only at the ground type, so a `Model` record holds just the four things that
+touch it.  `FunV` alone marks function values, so compiled closures pass
+ground values unboxed: a plain `int` here, a bare `DTree` in the tree model.
+`NatV` boxes naturals only at the public boundary, `eval_set` and `apply_set`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free
 
@@ -36,21 +38,17 @@ class FunV:
         self.fn = fn
 
 
-SetValue = Union[NatV, FunV]
-
-#: Environments are tuples of values, innermost binding first.
-SetEnv = tuple
+#: A value of the set model inside compiled closures.
+SetValue = Union[int, FunV]
 
 #: A compiled term: a closure from an environment to a value of the model.
 Compiled = Callable[[tuple], object]
 
 
 class Model(NamedTuple):
-    """What a model of System T decides at the ground type.
-
-    plus and rec are compile-time combinators that build a closure once, so
-    a compiled term never looks into the record at run time.
-    """
+    """What a model of System T decides at the ground type.  plus and rec are
+    compile-time combinators: they build a closure once, so a compiled term
+    never looks into the record at run time."""
 
     #: the value of the numeral k
     nat: Callable[[int], object]
@@ -59,48 +57,69 @@ class Model(NamedTuple):
     #: rec(motive, c, iterate): a closure feeding the scrutinee c computes to
     #: iterate(env, n), which runs the recursor n times
     rec: Callable[[Ty, Compiled, Callable[[tuple, int], object]], Compiled]
+    #: indices(n): the values of the numerals 0 .. n-1, the recursor's indices
+    indices: Callable[[int], Iterable]
 
 
 _SMALL = tuple(NatV(i) for i in range(4096))
 
 
-def natv(n: int) -> NatV:
-    """NatV with small values interned."""
-    if 0 <= n < 4096:
-        return _SMALL[n]
+def _natural(n: int) -> int:
+    """n, which must not be negative."""
     if n < 0:
         raise ValueError(f"naturals are nonnegative, got {n}")
-    return NatV(n)
+    return n
 
 
-def apply_set(fn: SetValue, arg: SetValue) -> SetValue:
+def natv(n: int) -> NatV:
+    """NatV with small values interned."""
+    return _SMALL[n] if 0 <= n < 4096 else NatV(_natural(n))
+
+
+def apply_set(fn: FunV, arg) -> Union[NatV, FunV]:
+    """Apply a function value of the set model (not the tree model) to a
+    NatV, an int or a function value; a negative natural raises ValueError."""
     if not isinstance(fn, FunV):
         raise SemanticsBug("a ground value was applied as a function")
-    return fn.fn(arg)
+    if isinstance(arg, NatV):
+        arg = arg.value
+    if not isinstance(arg, FunV) and arg < 0:  # inline, not _natural: no frame per call
+        raise ValueError(f"naturals are nonnegative, got {arg}")
+    out = fn.fn(arg)
+    return out if isinstance(out, FunV) else _SMALL[out] if 0 <= out < 4096 else natv(out)
+
+
+def apply_value(fn: FunV, *args) -> object:
+    """Apply a function value of either model to args in turn, all unboxed."""
+    for arg in args:
+        if not isinstance(fn, FunV):
+            raise SemanticsBug("a ground value was applied as a function")
+        fn = fn.fn(arg)
+    return fn
 
 
 def lift_oracle(alpha) -> FunV:
-    """Wrap a point of the Baire space as a value of type nat -> nat.
-
-    Accepts anything callable on naturals (an Oracle or a plain function).
-    """
-    return FunV(lambda v: natv(alpha(v.value)))
+    """Wrap a point of the Baire space, an Oracle or any function on the
+    naturals, as a value of type nat -> nat whose answers must be naturals."""
+    return FunV(lambda n: _natural(alpha(n)))
 
 
-def _set_plus(corec: Compiled, k: int) -> Compiled:
-    return lambda env: natv(corec(env).value + k)
+#: The set model: a natural is an int, and the recursor runs on its value.
+SET_MODEL = Model(
+    nat=int,
+    plus=lambda corec, k: lambda env: corec(env) + k,
+    rec=lambda motive, argc, iterate: lambda env: iterate(env, argc(env)),
+    indices=range,
+)
 
 
-def _set_rec(motive: Ty, argc: Compiled, iterate) -> Compiled:
-    return lambda env: iterate(env, argc(env).value)
-
-
-SET_MODEL = Model(natv, _set_plus, _set_rec)
-
-
-def eval_set(term: Term, env: SetEnv = ()) -> SetValue:
-    """Evaluate a well-typed term under an environment matching its context."""
-    return compile_term(term, SET_MODEL)(tuple(env))
+def eval_set(term: Term, env=()) -> Union[NatV, FunV]:
+    """Evaluate a well-typed term in an environment for its context (NatV or int at ground)."""
+    env = tuple(
+        v if isinstance(v, FunV) else _natural(v.value if isinstance(v, NatV) else v) for v in env
+    )
+    out = compile_term(term, SET_MODEL)(env)
+    return out if isinstance(out, FunV) else natv(out)
 
 
 def compile_term(term: Term, model: Model) -> Compiled:
@@ -141,7 +160,7 @@ def compile_term(term: Term, model: Model) -> Compiled:
 def _compile_iterate(term: Rec, model: Model):
     """The closure iterate(env, n) running the recursor of term n times."""
     basec = compile_term(term.base, model)
-    nat = model.nat
+    nat, indices = model.nat, model.indices
     step = term.step
     if isinstance(step, Lam) and isinstance(step.body, Lam):
         # Uncurried fast path: applying a syntactic double-lambda to the
@@ -160,8 +179,8 @@ def _compile_iterate(term: Rec, model: Model):
         else:
             def iterate(env, n):
                 acc = basec(env)
-                for k in range(n):
-                    acc = bodyc((acc, nat(k)) + env)
+                for k in indices(n):
+                    acc = bodyc((acc, k) + env)
                 return acc
         return iterate
     stepc = compile_term(step, model)
@@ -170,8 +189,8 @@ def _compile_iterate(term: Rec, model: Model):
         acc = basec(env)
         if n:
             fn = stepc(env).fn
-            for k in range(n):
-                acc = fn(nat(k)).fn(acc)
+            for k in indices(n):
+                acc = fn(k).fn(acc)
         return acc
 
     return iterate

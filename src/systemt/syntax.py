@@ -169,8 +169,9 @@ class UnboundVariable(Exception):
 
 _KEYWORDS = frozenset({"zero", "succ", "rec", "fun", "nat"})
 
-# one group per token class, so a match's `lastindex` classifies it
-_TOKEN_RE = re.compile(r"(->|[()\[\]:])|(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+# one group per token class, so a match's `lastindex` classifies it; names may
+# hold any letters
+_TOKEN_RE = re.compile(r"(->|[()\[\]:])|(\d+)|([^\W\d]\w*)|(\S)")
 
 _ATOM_STARTERS = frozenset({"zero", "succ", "rec", "(", "num", "ident"})
 
@@ -188,16 +189,15 @@ def _tokenize(text: str) -> "list[tuple]":
             line, line_start = line + 1, nl + 1
             nl = text.find("\n", line_start)
         tok, group = m.group(), m.lastindex
-        if group == 3:
+        if group == 3 and tok.isidentifier():
             kind = tok if tok in _KEYWORDS else "ident"
         elif group == 1:
             kind = tok
         elif group == 2:
             kind = "num"
-        elif tok.isalpha():
-            kind = "ident"
-        else:
-            raise ParseError(line, start - line_start + 1, f"a token (got {tok!r})")
+        else:  # \w also matches non-decimal digits such as "²", which no name holds
+            bad = next((i for i, c in enumerate(tok) if not ("_" + c).isidentifier()), 0)
+            raise ParseError(line, start - line_start + 1 + bad, f"a token (got {tok[bad]!r})")
         tokens.append((kind, tok, line, start - line_start + 1))
     line += text.count("\n", line_start)
     tokens.append(("eof", "", line, len(text) - text.rfind("\n")))

@@ -119,15 +119,15 @@ def test_gkleisli_int_matches_external_through_encode():
     )
     internal = apply_set(apply_set(eval_set(g), eval_set(fn_term)), encode(d, NAT))
 
-    from systemt.dialogue import TreeV, gkleisli
+    from systemt.dialogue import gkleisli
 
     external = gkleisli(
         Arrow(NAT, NAT),
-        lambda n: FunV(lambda s: TreeV(functor_map(lambda x: x + n, s.tree))),
+        lambda n: FunV(lambda s: functor_map(lambda x: x + n, s)),
         d,
     )
     probe_tree = Branch(0, lambda y: Leaf(y))
-    ext_tree = external.fn(TreeV(probe_tree)).tree
+    ext_tree = external.fn(probe_tree)
     int_val = apply_set(internal, encode(probe_tree, NAT))
     for alpha in [Oracle((3, 1), 0), Oracle((), 2)]:
         want = dieval(ext_tree, alpha)
@@ -138,7 +138,7 @@ def test_gkleisli_int_matches_external_through_encode():
 def _observe_nat_tree(value, alpha):
     """Fold an encoded nat-motive tree with handlers that run the dialogue."""
     idh = FunV(lambda v: v)
-    run = FunV(lambda g: FunV(lambda x: apply_set(g, natv(alpha(x.value)))))
+    run = FunV(lambda g: FunV(lambda x: g.fn(alpha(x))))
     return apply_set(apply_set(value, idh), run).value
 
 

@@ -50,6 +50,13 @@ def test_check_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
     assert err == "error: 1:25: expected a token (got '\u00b2')\n"
 
 
+def test_check_accepts_a_name_mixing_ascii_and_unicode_letters(tmp_path, capsys):
+    good = tmp_path / "good.t"
+    good.write_text("fun (\u00e9a : nat) -> \u00e9a", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(good))
+    assert (code, out, err) == (0, "nat -> nat\n", "")
+
+
 def test_check_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "check", "no-such-file.t")
     assert code == 1

@@ -6,7 +6,6 @@ from systemt.dialogue import (
     Branch,
     Leaf,
     Oracle,
-    TreeV,
     TypeMismatch,
     dialogue_tree,
     dieval,
@@ -147,40 +146,37 @@ def test_functor_map_leaf():
 
 
 def test_gkleisli_ground_delegates_to_kleisli():
-    fn = lambda n: TreeV(Leaf(n + 3))
-    out = gkleisli(NAT, fn, Leaf(5))
-    assert isinstance(out, TreeV)
-    assert out.tree == Leaf(8)
+    fn = lambda n: Leaf(n + 3)
+    assert gkleisli(NAT, fn, Leaf(5)) == Leaf(8)
 
 
 def test_gkleisli_unit_at_ground():
-    out = gkleisli(NAT, lambda n: TreeV(Leaf(n)), Leaf(5))
-    assert out.tree == Leaf(5)
+    assert gkleisli(NAT, Leaf, Leaf(5)) == Leaf(5)
 
 
 def test_gkleisli_arrow_applies_pointwise():
     # at nat -> nat over a leaf, grafting just applies the function at the leaf
-    fn = lambda n: FunV(lambda s: TreeV(functor_map(lambda m: m + n, s.tree)))
+    fn = lambda n: FunV(lambda s: functor_map(lambda m: m + n, s))
     out = gkleisli(Arrow(NAT, NAT), fn, Leaf(5))
-    probe = TreeV(Leaf(10))
-    assert dieval(out.fn(probe).tree, identity) == dieval(fn(5).fn(probe).tree, identity) == 15
+    probe = Leaf(10)
+    assert dieval(out.fn(probe), identity) == dieval(fn(5).fn(probe), identity) == 15
 
 
 # -- term evaluation ------------------------------------------------------------
 
 
 def test_eval_dial_zero_and_numerals():
-    assert eval_dial(term("zero")).tree == Leaf(0)
-    assert eval_dial(numeral(3)).tree == Leaf(3)
+    assert eval_dial(term("zero")) == Leaf(0)
+    assert eval_dial(numeral(3)) == Leaf(3)
 
 
 def test_eval_dial_pure_rec():
     out = eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))
-    assert out.tree == Leaf(2)
+    assert out == Leaf(2)
 
 
 def test_eval_dial_deep_numeral():
-    assert eval_dial(numeral(3000)).tree == Leaf(3000)
+    assert eval_dial(numeral(3000)) == Leaf(3000)
 
 
 # -- differential check of the staged tree model -------------------------------
@@ -192,9 +188,9 @@ def reference_dial(term, env=()):
     if isinstance(term, Var):
         return env[term.index]
     if isinstance(term, Zero):
-        return TreeV(Leaf(0))
+        return Leaf(0)
     if isinstance(term, Succ):
-        return TreeV(functor_map(lambda n: n + 1, reference_dial(term.arg, env).tree))
+        return functor_map(lambda n: n + 1, reference_dial(term.arg, env))
     if isinstance(term, Lam):
         return FunV(lambda v: reference_dial(term.body, (v,) + env))
     if isinstance(term, App):
@@ -207,15 +203,15 @@ def reference_dial(term, env=()):
         def iterate(n):
             acc = basev
             for k in range(n):
-                acc = stepv.fn(TreeV(Leaf(k))).fn(acc)
+                acc = stepv.fn(Leaf(k)).fn(acc)
             return acc
 
-        return gkleisli(term.motive, iterate, argv.tree)
+        return gkleisli(term.motive, iterate, argv)
     raise TypeError(term)
 
 
 def _reference_tree(t):
-    return reference_dial(t).fn(FunV(lambda s: TreeV(generic(s.tree)))).tree
+    return reference_dial(t).fn(FunV(generic))
 
 
 def test_tree_model_matches_reference_on_generated_terms():
@@ -243,11 +239,11 @@ def test_tree_model_matches_reference_on_generated_terms():
 def test_tree_model_recursor_fast_paths_match_reference(src, expect):
     fn = term(src)
     staged, ref = eval_dial(fn), reference_dial(fn)
-    args = [TreeV(Leaf(n)) for n in [0, 1, 2, 17, 400]] + [TreeV(generic(Leaf(3)))]
+    args = [Leaf(n) for n in [0, 1, 2, 17, 400]] + [generic(Leaf(3))]
     for arg in args:
-        got, want = staged.fn(arg).tree, ref.fn(arg).tree
+        got, want = staged.fn(arg), ref.fn(arg)
         for alpha in ORACLES:
-            assert dieval(got, alpha) == dieval(want, alpha) == expect(dieval(arg.tree, alpha))
+            assert dieval(got, alpha) == dieval(want, alpha) == expect(dieval(arg, alpha))
 
 
 # -- generic sequence ------------------------------------------------------------

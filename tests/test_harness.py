@@ -86,9 +86,17 @@ def test_agreeing_oracle_agrees_on_prefix():
 
     alpha = gen_oracle(GenConfig(seed=3))
     rng = random.Random(0)
-    for m in [0, 1, 5, 9]:
+    for m in [0, 1, 5, 9, len(alpha.prefix) + 7, 40]:  # also past alpha's prefix
         beta = agreeing_oracle(alpha, m, rng)
         assert all(alpha(i) == beta(i) for i in range(m))
+    # after the prefix: at most 8 entries, then a default, all in [0, 10]
+    tails, defaults = set(), set()
+    for _ in range(2000):
+        beta = agreeing_oracle(alpha, 3, rng)
+        tails.add(len(beta.prefix) - 3)
+        defaults.add(beta.default)
+        assert all(0 <= n <= 10 for n in beta.prefix[3:])
+    assert max(tails) <= 8 and defaults == set(range(11))
 
 
 # -- suites ---------------------------------------------------------------------

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
 from systemt.dialogue import Oracle
 from systemt.harness import GenConfig, gen_oracle, gen_term
+from systemt.moduli import max_term
 from systemt.set_model import (
     FunV,
     NatV,
@@ -86,6 +89,40 @@ def test_weakening_closed_term_ignores_environment():
     assert plain == noisy
 
 
+def test_ground_values_cross_the_boundary_as_natv_or_int():
+    succ = ev("fun (x : nat) -> succ x")
+    for arg in [NatV(3), 3]:
+        assert apply_set(succ, arg) == NatV(4)
+    assert apply_set(succ, 5000) == NatV(5001)
+    t = typecheck(parse("fun (a : nat -> nat) -> a 3"))
+    for env in [(natv(9),), (9,)]:
+        out = eval_set(Succ(Var(0)), env)
+        assert isinstance(out, NatV) and out == NatV(10)
+        assert apply_set(eval_set(t, env=env + (lift_oracle(lambda i: i),)), lift_oracle(lambda i: 2 * i)) == NatV(6)
+    # a negative natural is refused at the boundary, boxed or not
+    for bad in [-1, NatV(-1)]:
+        with pytest.raises(ValueError):
+            apply_set(succ, bad)
+        with pytest.raises(ValueError):
+            eval_set(Succ(Var(0)), (bad,))
+
+
+def test_caller_built_function_values_receive_plain_ints():
+    seen = []
+
+    def record(n):
+        seen.append(n)
+        return n + 1
+
+    v = ev("fun (a : nat -> nat) -> a (a 2)")
+    assert apply_set(v, FunV(record)) == NatV(4)
+    assert seen == [2, 3] and all(type(n) is int for n in seen)
+    rec = ev("fun (f : nat -> nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) -> f i) zero 3")
+    seen.clear()
+    assert apply_set(rec, FunV(record)) == NatV(3)
+    assert seen == [2] and type(seen[0]) is int
+
+
 def test_compositionality_at_ground_type():
     fn = typecheck(parse("fun (x : nat) -> succ (succ x)"))
     arg = numeral(40)
@@ -109,6 +146,8 @@ def test_natv_rejects_negatives():
 def test_apply_number_panics():
     with pytest.raises(SemanticsBug):
         apply_set(NatV(3), NatV(0))
+    with pytest.raises(SemanticsBug):
+        apply_set(3, 0)
 
 
 # -- lift_oracle ----------------------------------------------------------------
@@ -124,6 +163,12 @@ def test_lift_oracle_table_then_default():
     assert apply_set(alpha, NatV(3)) == NatV(1)
 
 
+def test_lift_oracle_rejects_a_negative_answer():
+    t = typecheck(parse("fun (a : nat -> nat) -> succ (a 2)"))
+    with pytest.raises(ValueError):
+        apply_set(eval_set(t), lift_oracle(lambda i: -1))
+
+
 # -- differential check of the staged evaluator -------------------------------
 
 
@@ -132,9 +177,9 @@ def reference_eval(term, env=()):
     if isinstance(term, Var):
         return env[term.index]
     if isinstance(term, Zero):
-        return NatV(0)
+        return 0
     if isinstance(term, Succ):
-        return NatV(reference_eval(term.arg, env).value + 1)
+        return reference_eval(term.arg, env) + 1
     if isinstance(term, Lam):
         return FunV(lambda v: reference_eval(term.body, (v,) + tuple(env)))
     if isinstance(term, App):
@@ -142,8 +187,8 @@ def reference_eval(term, env=()):
     if isinstance(term, Rec):
         fn = reference_eval(term.step, env)
         acc = reference_eval(term.base, env)
-        for k in range(reference_eval(term.arg, env).value):
-            acc = fn.fn(NatV(k)).fn(acc)
+        for k in range(reference_eval(term.arg, env)):
+            acc = fn.fn(k).fn(acc)
         return acc
     raise TypeError(term)
 
@@ -164,3 +209,24 @@ def test_recursor_shortcut_matches_reference_on_dropping_steps():
     for n in [0, 1, 2, 17, 400]:
         assert apply_set(v, natv(n)).value == max(0, n - 1)
         assert apply_set(reference_eval(typecheck(parse(pred))), natv(n)).value == max(0, n - 1)
+
+
+def test_max_term_costs_a_bounded_number_of_calls_per_step():
+    # max 0 y runs two loops of y steps, the first running a predecessor
+    # recursor per step; a Python frame put back into every step (a box, an
+    # unbox, an index conversion) breaks the bound
+    fx = apply_set(eval_set(max_term()), natv(0))
+    y = 200
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        out = apply_set(fx, natv(y))
+    finally:
+        sys.setprofile(None)
+    assert out == NatV(y)
+    assert calls <= 4 * y + 7

@@ -56,6 +56,18 @@ def test_parse_resolves_names_to_the_nearest_binder():
     assert where == [(1, 1), (1, 35), (1, 59), (1, 59), (1, 61)]
 
 
+def test_parse_reads_a_name_of_unicode_letters_as_one_token():
+    t = typecheck(parse("fun (\u00e9a : nat) -> fun (a\u00e9 : nat) -> \u00e9a"))
+    assert infer(t) == arrow(NAT, NAT, NAT)
+    assert t.body.body == Var(1)
+    # a non-decimal digit is no part of a name: the error is at the digit
+    for text, col in [("fun (a : nat -> nat) -> \u00b2", 25), ("fun (a\u00b2 : nat) -> a", 7)]:
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.line, e.value.col) == (1, col)
+        assert "\u00b2" in str(e.value)
+
+
 def test_parse_truncated_lambda():
     with pytest.raises(ParseError) as e:
         parse("fun (a : nat) ->")
