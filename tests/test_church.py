@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,13 +29,31 @@ from systemt.dialogue import (
     kleisli,
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
+from systemt.moduli import max_bool_question_int, max_question_int, max_term, modulus_int, modulus_uni_int
 from systemt.set_model import FunV, NatV, apply_set, eval_set, lift_oracle, natv
-from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, arrow, infer, numeral, parse, typecheck
+from systemt.syntax import (
+    NAT,
+    App,
+    Arrow,
+    Lam,
+    Rec,
+    Succ,
+    Var,
+    Zero,
+    arrow,
+    format_ty,
+    infer,
+    numeral,
+    parse,
+    pretty,
+    typecheck,
+)
 
 from extensional import handler_battery, values_agree
 from test_syntax import shift
 
 MOTIVES = [NAT, Arrow(NAT, NAT), BAIRE_FN]
+CONSTANTS_GOLDEN = Path(__file__).resolve().parent / "golden" / "constants.golden"
 
 
 def term(src):
@@ -346,8 +365,6 @@ def test_internal_tree_agrees_with_encoded_external_tree(motive):
 
 
 def _motive_src(motive):
-    from systemt.syntax import format_ty
-
     return f"({format_ty(motive)})" if motive != NAT else "nat"
 
 
@@ -356,3 +373,30 @@ def _assert_trees_agree(a, b, motive, rng):
         va = apply_set(apply_set(a, e), bh)
         vb = apply_set(apply_set(b, e), bh)
         assert values_agree(motive, va, vb, rng), f"disagree at motive {motive}"
+
+
+# -- the closed constants, pinned by their printed syntax ------------------------
+
+
+def constants_text():
+    """One line `name[args]: pretty(term)` per closed constant; since
+    parse(pretty(t)) == t for closed t, the text pins each term's structure."""
+    rows = []
+    for motive in MOTIVES:
+        for fn in (leaf_int, branch_int, kleisli_int, functor_int, generic_int):
+            rows.append((f"{fn.__name__}[{format_ty(motive)}]", fn(motive)))
+        for sigma in MOTIVES:
+            rows.append((f"gkleisli_int[{format_ty(sigma)}][{format_ty(motive)}]", gkleisli_int(sigma, motive)))
+    for fn in (dialogue_f_int, max_term, max_question_int, modulus_int, max_bool_question_int, modulus_uni_int):
+        rows.append((fn.__name__, fn()))
+    return "".join(f"{name}: {pretty(t)}\n" for name, t in rows)
+
+
+def test_constants_match_golden():
+    assert constants_text() == CONSTANTS_GOLDEN.read_text()
+
+
+def test_constants_roundtrip_through_pretty():
+    for line in CONSTANTS_GOLDEN.read_text().splitlines():
+        text = line.split(": ", 1)[1]
+        assert pretty(typecheck(parse(text))) == text

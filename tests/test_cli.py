@@ -166,11 +166,18 @@ def test_umodulus_anchor(capsys):
     assert out == "1\n"
 
 
-@pytest.mark.parametrize("name", [p.stem for p in sorted(CORPUS_DIR.glob("*.t"))])
-def test_translate_matches_golden(capsys, name):
-    code, out, _ = run(capsys, "translate", corpus(name), "--motive", "nat")
+@pytest.mark.parametrize(
+    "name, motive",
+    [
+        pytest.param(p.stem, motive, id=p.stem if motive == "nat" else f"{p.stem}-{motive}")
+        for motive in ("nat", "baire")
+        for p in sorted(CORPUS_DIR.glob("*.t"))
+    ],
+)
+def test_translate_matches_golden(capsys, name, motive):
+    code, out, _ = run(capsys, "translate", corpus(name), "--motive", motive)
     assert code == 0
-    golden = (GOLDEN_DIR / f"{name}.translate.nat.golden").read_text()
+    golden = (GOLDEN_DIR / f"{name}.translate.{motive}.golden").read_text()
     assert out == golden
 
 
