@@ -3,33 +3,21 @@
 A tree is represented as its own fold: a term consuming a leaf handler and a
 branch handler.  Because System T is monomorphic, every construction here is
 parameterized by the motive, the System T type the fold eliminates into.
+The closed programs on encoded trees (leaf, branch, the Kleisli extension,
+the generic sequence, the dialogue operator) are written in System T's own
+surface syntax and typechecked when first built; see `closed`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .dialogue import BAIRE_FN, DTree, Leaf, require_baire_fn
 from .set_model import FunV, SetValue, apply_value, eval_set
-from .syntax import (
-    NAT,
-    App,
-    Arrow,
-    Lam,
-    Rec,
-    Succ,
-    Term,
-    Ty,
-    Var,
-    Zero,
-)
+from .syntax import NAT, App, Arrow, Lam, Rec, Succ, Term, Ty, Var, Zero, format_ty, parse, typecheck
 
 #: The motive of a fold is just a System T type.
 Motive = Ty
-
-
-def _apps(fn: Term, *args: Term) -> Term:
-    return reduce(App, args, fn)
 
 
 @lru_cache(maxsize=None)
@@ -50,58 +38,59 @@ def translate_type(ty: Ty, motive: Motive) -> Ty:
     return Arrow(translate_type(ty.domain, motive), translate_type(ty.codomain, motive))
 
 
+def closed(src: str, motive: Motive = NAT, **defs) -> Term:
+    """The closed, typechecked term that the surface syntax src denotes.
+
+    In src, `{A}` stands for the motive and `{T}` for church_type(nat,
+    motive).  A keyword whose value is a type fills `{keyword}` the same
+    way; one whose value is a closed term is what the free name keyword
+    stands for.  Error positions are those of the text with types filled in.
+    """
+    types = {"A": motive, "T": church_type(NAT, motive)}
+    types.update((name, ty) for name, ty in defs.items() if isinstance(ty, Ty))
+    terms = {name: t for name, t in defs.items() if not isinstance(t, Ty)}
+    text = src.format_map({name: f"({format_ty(ty)})" for name, ty in types.items()})
+    return typecheck(parse(text, terms))
+
+
 # ---------------------------------------------------------------------------
 # Constructors and monad structure, as closed terms
 # ---------------------------------------------------------------------------
 
-
 @lru_cache(maxsize=None)
 def leaf_int(motive: Motive) -> Term:
-    # leaf = \z e b. e z
-    leaf_h = Arrow(NAT, motive)
-    branch_h = Arrow(leaf_h, leaf_h)
-    return Lam(NAT, Lam(leaf_h, Lam(branch_h, App(Var(1), Var(2)))))
+    src = "fun (z : nat) -> fun (e : nat -> {A}) -> fun (b : (nat -> {A}) -> nat -> {A}) -> e z"
+    return closed(src, motive)
 
 
 @lru_cache(maxsize=None)
 def branch_int(motive: Motive) -> Term:
-    # branch = \phi x e b. b (\y. phi y e b) x
-    tree = church_type(NAT, motive)
-    leaf_h = Arrow(NAT, motive)
-    branch_h = Arrow(leaf_h, leaf_h)
-    inner = Lam(NAT, _apps(Var(4), Var(0), Var(2), Var(1)))
-    return Lam(
-        Arrow(NAT, tree),
-        Lam(NAT, Lam(leaf_h, Lam(branch_h, _apps(Var(0), inner, Var(2))))),
-    )
+    src = """
+    fun (phi : nat -> {T}) -> fun (x : nat) -> fun (e : nat -> {A}) -> fun (b : (nat -> {A}) -> nat -> {A}) ->
+      b (fun (y : nat) -> phi y e b) x
+    """
+    return closed(src, motive)
 
 
 @lru_cache(maxsize=None)
 def kleisli_int(motive: Motive) -> Term:
-    # kleisli = \f d e b. d (\x. f x e b) b
-    tree = church_type(NAT, motive)
-    leaf_h = Arrow(NAT, motive)
-    branch_h = Arrow(leaf_h, leaf_h)
-    inner = Lam(NAT, _apps(Var(4), Var(0), Var(2), Var(1)))
-    return Lam(
-        Arrow(NAT, tree),
-        Lam(tree, Lam(leaf_h, Lam(branch_h, _apps(Var(2), inner, Var(0))))),
-    )
+    src = """
+    fun (f : nat -> {T}) -> fun (d : {T}) -> fun (e : nat -> {A}) -> fun (b : (nat -> {A}) -> nat -> {A}) ->
+      d (fun (x : nat) -> f x e b) b
+    """
+    return closed(src, motive)
 
 
 @lru_cache(maxsize=None)
 def functor_int(motive: Motive) -> Term:
-    # functor = \f. kleisli (\x. leaf (f x))
-    return Lam(
-        Arrow(NAT, NAT),
-        App(kleisli_int(motive), Lam(NAT, App(leaf_int(motive), App(Var(1), Var(0))))),
-    )
+    src = "fun (f : nat -> nat) -> kleisli (fun (x : nat) -> leaf (f x))"
+    return closed(src, motive, kleisli=kleisli_int(motive), leaf=leaf_int(motive))
 
 
 @lru_cache(maxsize=None)
 def generic_int(motive: Motive) -> Term:
-    # generic = kleisli (branch leaf)
-    return App(kleisli_int(motive), App(branch_int(motive), leaf_int(motive)))
+    defs = {"kleisli": kleisli_int(motive), "branch": branch_int(motive), "leaf": leaf_int(motive)}
+    return closed("kleisli (branch leaf)", motive, **defs)
 
 
 @lru_cache(maxsize=None)
@@ -109,14 +98,12 @@ def gkleisli_int(sigma: Ty, motive: Motive) -> Term:
     """Kleisli extension at type sigma, lifted pointwise through arrows."""
     if sigma == NAT:
         return kleisli_int(motive)
-    # \f d s. gkleisli[cod] (\x. f x s) d
-    tree = church_type(NAT, motive)
-    fn_ty = Arrow(NAT, translate_type(sigma, motive))
-    arg_ty = translate_type(sigma.domain, motive)
-    inner = Lam(NAT, _apps(Var(3), Var(0), Var(1)))
-    return Lam(
-        fn_ty,
-        Lam(tree, Lam(arg_ty, _apps(gkleisli_int(sigma.codomain, motive), inner, Var(1)))),
+    return closed(
+        "fun (f : nat -> {S}) -> fun (d : {T}) -> fun (s : {D}) -> gk (fun (x : nat) -> f x s) d",
+        motive,
+        S=translate_type(sigma, motive),
+        D=translate_type(sigma.domain, motive),
+        gk=gkleisli_int(sigma.codomain, motive),
     )
 
 
@@ -124,7 +111,7 @@ def gkleisli_int(sigma: Ty, motive: Motive) -> Term:
 # The term translation
 # ---------------------------------------------------------------------------
 
-_SUCC_FN = Lam(NAT, Succ(Var(0)))
+_SUCC_FN = closed("fun (n : nat) -> succ n")
 
 
 def translate(term: Term, motive: Motive) -> Term:
@@ -189,16 +176,13 @@ def dialogue_f_int() -> Term:
 
     The motive is fixed to (nat -> nat) -> nat: the fold result is itself the
     function consuming the oracle.
-
-    dialogue = \\d. d (\\z _. z) (\\phi x a. phi (a x) a)
     """
-    oracle_ty = Arrow(NAT, NAT)
-    leaf_h = Lam(NAT, Lam(oracle_ty, Var(1)))
-    branch_h = Lam(
-        Arrow(NAT, BAIRE_FN),
-        Lam(NAT, Lam(oracle_ty, _apps(Var(2), App(Var(0), Var(1)), Var(0)))),
-    )
-    return Lam(church_type(NAT, BAIRE_FN), _apps(Var(0), leaf_h, branch_h))
+    src = """
+    fun (d : {T}) ->
+      d (fun (z : nat) -> fun (a : nat -> nat) -> z)
+        (fun (phi : nat -> {A}) -> fun (x : nat) -> fun (a : nat -> nat) -> phi (a x) a)
+    """
+    return closed(src, BAIRE_FN)
 
 
 # ---------------------------------------------------------------------------

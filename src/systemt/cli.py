@@ -157,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the differential property suites")
     p.add_argument("--suite", choices=harness.SUITE_IDS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--terms", type=int, default=None, help="override generated inputs per suite")
-    p.add_argument("--oracles", type=int, default=None, help="override oracles per input")
+    p.add_argument("--terms", type=_int_at_least(0), default=None, help="override generated inputs per suite")
+    p.add_argument("--oracles", type=_int_at_least(0), default=None, help="override oracles per input")
     p.set_defaults(run=cmd_selftest)
 
     return top

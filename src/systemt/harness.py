@@ -32,6 +32,7 @@ from .dialogue import BAIRE_FN, Branch, DTree, Leaf, Oracle
 from .set_model import apply_value, eval_set, lift_oracle
 from .syntax import (
     NAT,
+    SUBTERMS,
     App,
     Arrow,
     Lam,
@@ -251,19 +252,9 @@ def _shrink_candidates(term: Term, ctx=()):
     replacement = canonical(infer(term, ctx))
     if term != replacement:
         yield replacement
-    if isinstance(term, Succ):
-        yield from (Succ(arg) for arg in _shrink_candidates(term.arg, ctx))
-    elif isinstance(term, Rec):
-        motive, step, base, arg = term.motive, term.step, term.base, term.arg
-        yield from (Rec(motive, s, base, arg) for s in _shrink_candidates(step, ctx))
-        yield from (Rec(motive, step, b, arg) for b in _shrink_candidates(base, ctx))
-        yield from (Rec(motive, step, base, a) for a in _shrink_candidates(arg, ctx))
-    elif isinstance(term, Lam):
-        inner = (term.domain,) + ctx
-        yield from (Lam(term.domain, body) for body in _shrink_candidates(term.body, inner))
-    elif isinstance(term, App):
-        yield from (App(fn, term.arg) for fn in _shrink_candidates(term.fn, ctx))
-        yield from (App(term.fn, arg) for arg in _shrink_candidates(term.arg, ctx))
+    for name, bound in SUBTERMS[type(term)]:
+        inner = (term.domain,) + ctx if bound else ctx
+        yield from (replace(term, **{name: sub}) for sub in _shrink_candidates(getattr(term, name), inner))
 
 
 def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:

@@ -1,18 +1,19 @@
 """Moduli of continuity and uniform continuity, externally and internally.
 
 The external operators work on inductive trees; each has a closed System T
-counterpart acting on the Church encoding.  Points of the Cantor space are
-the Baire points whose values are all 0 or 1, and `prune` restricts a tree to
-those answers.
+counterpart acting on the Church encoding, written in the surface syntax and
+typechecked when first built.  Points of the Cantor space are the Baire
+points whose values are all 0 or 1, and `prune` restricts a tree to those
+answers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .church import church_type
+from .church import closed
 from .dialogue import Branch, DTree, Leaf
-from .syntax import NAT, App, Arrow, Lam, Succ, Term, Var, Zero, numeral, parse, typecheck
+from .syntax import Term
 
 
 # ---------------------------------------------------------------------------
@@ -48,34 +49,21 @@ def max_term() -> Term:
           x y)
         y
     """
-    return typecheck(parse(src))
+    return closed(src)
 
 
 @lru_cache(maxsize=None)
 def max_question_int() -> Term:
-    # \d a. d (\_. zero) (\g x. max x (g (a x)))
-    tree = church_type(NAT, NAT)
-    oracle_ty = Arrow(NAT, NAT)
-    leaf_h = Lam(NAT, Zero())
-    branch_h = Lam(
-        oracle_ty,
-        Lam(
-            NAT,
-            App(
-                App(max_term(), Var(0)),
-                App(Var(1), App(Var(2), Var(0))),
-            ),
-        ),
-    )
-    return Lam(tree, Lam(oracle_ty, App(App(Var(1), leaf_h), branch_h)))
+    src = """
+    fun (d : {T}) -> fun (a : nat -> nat) ->
+      d (fun (z : nat) -> zero) (fun (g : nat -> nat) -> fun (x : nat) -> max x (g (a x)))
+    """
+    return closed(src, max=max_term())
 
 
 @lru_cache(maxsize=None)
 def modulus_int() -> Term:
-    # \d a. succ (max_question d a)
-    tree = church_type(NAT, NAT)
-    oracle_ty = Arrow(NAT, NAT)
-    return Lam(tree, Lam(oracle_ty, Succ(App(App(max_question_int(), Var(1)), Var(0)))))
+    return closed("fun (d : {T}) -> fun (a : nat -> nat) -> succ (mq d a)", mq=max_question_int())
 
 
 # ---------------------------------------------------------------------------
@@ -112,26 +100,13 @@ def modulus_uni(tree: DTree) -> int:
 
 @lru_cache(maxsize=None)
 def max_bool_question_int() -> Term:
-    # \d. d (\_. zero) (\g x. max x (max (g 0) (g 1)))
-    tree = church_type(NAT, NAT)
-    leaf_h = Lam(NAT, Zero())
-    branch_h = Lam(
-        Arrow(NAT, NAT),
-        Lam(
-            NAT,
-            App(
-                App(max_term(), Var(0)),
-                App(
-                    App(max_term(), App(Var(1), numeral(0))),
-                    App(Var(1), numeral(1)),
-                ),
-            ),
-        ),
-    )
-    return Lam(tree, App(App(Var(0), leaf_h), branch_h))
+    src = """
+    fun (d : {T}) ->
+      d (fun (z : nat) -> zero) (fun (g : nat -> nat) -> fun (x : nat) -> max x (max (g 0) (g 1)))
+    """
+    return closed(src, max=max_term())
 
 
 @lru_cache(maxsize=None)
 def modulus_uni_int() -> Term:
-    # \d. succ (max_bool_question d)
-    return Lam(church_type(NAT, NAT), Succ(App(max_bool_question_int(), Var(0))))
+    return closed("fun (d : {T}) -> succ (mbq d)", mbq=max_bool_question_int())

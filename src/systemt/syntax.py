@@ -10,8 +10,9 @@ typechecker, reporting a type error at the position of the subterm at fault.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -32,9 +33,6 @@ class Arrow:
 Ty = Union[Nat, Arrow]
 
 NAT = Nat()
-
-#: Contexts are tuples of types, innermost binding first.
-Ctx = tuple
 
 
 def arrow(*tys: Ty) -> Ty:
@@ -110,6 +108,17 @@ class App:
 
 
 Term = Union[Var, Zero, Succ, Rec, Lam, App]
+
+#: Each term class's subterm fields in order, with the number of binders
+#: that the field sits under (a Lam's body sits under its own binder).
+SUBTERMS = {
+    Var: (),
+    Zero: (),
+    Succ: (("arg", 0),),
+    Rec: (("step", 0), ("base", 0), ("arg", 0)),
+    Lam: (("body", 1),),
+    App: (("fn", 0), ("arg", 0)),
+}
 
 
 def numeral(n: int) -> Term:
@@ -208,13 +217,15 @@ class _Parser:
     """Recursive descent over the token tuples; self.i indexes the next one.
 
     self.scope holds the names bound around the next token, innermost first,
-    so a name's de Bruijn index is its position there.  The first unbound
+    so a name's de Bruijn index is its position there; a name outside it
+    that self.defs holds is replaced by that closed term.  The first unbound
     name is kept in self.unbound and raised only once the whole text has
     parsed, so that any parse error takes precedence over it.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, defs):
         self.tokens = _tokenize(text)
+        self.defs = defs
         self.i = 0
         self.scope: "tuple[str, ...]" = ()
         self.unbound: Optional[UnboundVariable] = None
@@ -279,6 +290,8 @@ class _Parser:
             try:
                 return Var(self.scope.index(text), (line, col))
             except ValueError:
+                if text in self.defs:
+                    return replace(self.defs[text], pos=(line, col))
                 if self.unbound is None:
                     self.unbound = UnboundVariable(text, (line, col))
                 return Var(0, (line, col))
@@ -303,13 +316,15 @@ class _Parser:
         raise ParseError(line, col, "a term")
 
 
-def parse(text: str) -> Term:
+def parse(text: str, defs: "Mapping[str, Term]" = MappingProxyType({})) -> Term:
     """Parse one closed surface-syntax term; application is left-associative.
 
-    Raises ParseError on malformed text, else UnboundVariable at the first
-    name no binder around it declares.  The result is not yet typechecked.
+    A name that no binder around it declares stands for the closed term defs
+    gives it.  Raises ParseError on malformed text, else UnboundVariable at
+    the first name that neither a binder nor defs declares.  The result is
+    not yet typechecked.
     """
-    p = _Parser(text)
+    p = _Parser(text, defs)
     term = p.term()
     kind, _, line, col = p.tokens[p.i]
     if kind != "eof":
@@ -383,19 +398,7 @@ def occurs_free(term: Term, index: int) -> bool:
     """Does de Bruijn index `index` occur free in term?"""
     if isinstance(term, Var):
         return term.index == index
-    if isinstance(term, Zero):
-        return False
-    if isinstance(term, Succ):
-        return occurs_free(term.arg, index)
-    if isinstance(term, Rec):
-        return (
-            occurs_free(term.step, index)
-            or occurs_free(term.base, index)
-            or occurs_free(term.arg, index)
-        )
-    if isinstance(term, Lam):
-        return occurs_free(term.body, index + 1)
-    return occurs_free(term.fn, index) or occurs_free(term.arg, index)
+    return any(occurs_free(getattr(term, name), index + bound) for name, bound in SUBTERMS[type(term)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from systemt.church import (
     branch_int,
     church_type,
+    closed,
     dialogue_f_int,
     dialogue_tree_int,
     encode,
@@ -38,6 +39,8 @@ from systemt.syntax import (
     Lam,
     Rec,
     Succ,
+    TypeCheckError,
+    UnboundVariable,
     Var,
     Zero,
     arrow,
@@ -378,9 +381,8 @@ def _assert_trees_agree(a, b, motive, rng):
 # -- the closed constants, pinned by their printed syntax ------------------------
 
 
-def constants_text():
-    """One line `name[args]: pretty(term)` per closed constant; since
-    parse(pretty(t)) == t for closed t, the text pins each term's structure."""
+def constant_rows():
+    """(name[args], term) for each closed constant at three motives."""
     rows = []
     for motive in MOTIVES:
         for fn in (leaf_int, branch_int, kleisli_int, functor_int, generic_int):
@@ -389,14 +391,35 @@ def constants_text():
             rows.append((f"gkleisli_int[{format_ty(sigma)}][{format_ty(motive)}]", gkleisli_int(sigma, motive)))
     for fn in (dialogue_f_int, max_term, max_question_int, modulus_int, max_bool_question_int, modulus_uni_int):
         rows.append((fn.__name__, fn()))
-    return "".join(f"{name}: {pretty(t)}\n" for name, t in rows)
+    return rows
 
 
 def test_constants_match_golden():
-    assert constants_text() == CONSTANTS_GOLDEN.read_text()
+    rows = constant_rows()
+    lines = CONSTANTS_GOLDEN.read_text().splitlines()
+    assert [f"{name}: {pretty(t)}" for name, t in rows] == lines
+    # the printed text pins each term's structure: it parses back to the term
+    assert [parse(line.split(": ", 1)[1]) for line in lines] == [t for _, t in rows]
 
 
-def test_constants_roundtrip_through_pretty():
-    for line in CONSTANTS_GOLDEN.read_text().splitlines():
-        text = line.split(": ", 1)[1]
-        assert pretty(typecheck(parse(text))) == text
+# -- the closed-term helper --------------------------------------------------------
+
+
+def test_closed_fills_the_motive_and_tree_type():
+    motive = Arrow(NAT, NAT)
+    t = closed("fun (d : {T}) -> fun (x : {A}) -> x", motive)
+    assert t == Lam(church_type(NAT, motive), Lam(motive, Var(0)))
+    assert closed("fun (s : {S}) -> s", S=BAIRE_FN) == Lam(BAIRE_FN, Var(0))
+
+
+def test_closed_rejects_ill_typed_source():
+    with pytest.raises(TypeCheckError):
+        closed("fun (d : {T}) -> succ d")
+    with pytest.raises(TypeCheckError):
+        closed("leaf leaf", leaf=leaf_int(NAT))
+
+
+def test_closed_rejects_a_name_neither_bound_nor_defined():
+    with pytest.raises(UnboundVariable) as e:
+        closed("fun (f : nat -> nat) -> kleisli f", leaf=leaf_int(NAT))
+    assert e.value.name == "kleisli"

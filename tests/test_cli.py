@@ -130,6 +130,20 @@ def test_bad_count_flags_are_usage_errors(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--suite", "thm16", "--terms", "2", "--oracles", "-3"],
+        ["--suite", "lem36", "--terms", "-5"],
+    ],
+)
+def test_negative_selftest_scales_are_usage_errors(capsys, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["selftest", *flags])
+    assert exit_info.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
+
+
 def test_tree_golden_example(capsys):
     code, out, _ = run(capsys, "tree", corpus("a4"), "--answers", "2")
     assert code == 0

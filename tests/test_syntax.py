@@ -198,6 +198,22 @@ def test_type_errors_carry_position(text, error, where):
     assert e.value.location == where
 
 
+def test_parse_without_defs_leaves_a_constant_name_unbound():
+    with pytest.raises(UnboundVariable) as e:
+        parse("fun (a : nat) -> kleisli")
+    assert e.value.name == "kleisli"
+    assert e.value.location == (1, 18)
+
+
+def test_parse_defs_stand_for_free_names_only():
+    one = numeral(1)
+    assert parse("fun (a : nat) -> succ c", {"c": one}) == Lam(NAT, Succ(one))
+    # a binder of the same name shadows the definition
+    assert parse("fun (c : nat) -> c", {"c": one}) == Lam(NAT, Var(0))
+    # the definition takes the position of the name that stands for it
+    assert parse("fun (a : nat) ->\n  c", {"c": one}).body.pos == (2, 3)
+
+
 def test_typecheck_application_argument_mismatch():
     with pytest.raises(TypeCheckError):
         typecheck(parse("fun (a : nat -> nat) -> a a"))
