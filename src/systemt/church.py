@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .dialogue import BAIRE_FN, DTree, Leaf, require_baire_fn
-from .set_model import FunV, SetValue, apply_value, eval_set
+from .set_model import SetValue, eval_set
 from .syntax import NAT, App, Arrow, Lam, Rec, Succ, Term, Ty, Var, Zero, format_ty, parse, typecheck
 
 #: The motive of a fold is just a System T type.
@@ -201,8 +201,8 @@ def encode(tree: DTree, motive: Motive) -> SetValue:
 
     def go(t: DTree) -> SetValue:
         if isinstance(t, Leaf):
-            return apply_value(leaf_v, t.value)
+            return leaf_v(t.value)
         children = t.children
-        return apply_value(branch_v, FunV(lambda n: go(children(n))), t.query)
+        return branch_v(lambda n: go(children(n)))(t.query)
 
     return go(tree)

@@ -100,9 +100,9 @@ def cmd_selftest(args) -> int:
         if args.oracles is not None:
             n_oracles = args.oracles
         report = harness.run_suite(suite, cfg, n_terms, n_oracles, extra_terms=corpus)
-        print(report.summary())
+        print(report.summary() if report.cases else f"{suite}: 0 cases [FAILED: no case ran]")
+        failed = failed or not report.cases or not report.passed
         for failure in report.failures:
-            failed = True
             where = f" oracle {failure.oracle}" if failure.oracle else ""
             term = f" term {failure.term}" if failure.term else ""
             print(f"  FAIL{term}{where}: {failure.detail}")

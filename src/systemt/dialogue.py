@@ -7,7 +7,7 @@ naturals stay finite objects; materialization happens only when printing.
 
 The tree model is the record `TREE_MODEL` for the staged compiler in
 `set_model`, which serves both models: only the ground type differs.  Its
-ground values are bare trees, and `FunV` marks its function values.
+ground values are bare trees, and its function values plain Python callables.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .set_model import FunV, Model, compile_term
+from .set_model import Model, compile_term
 from .syntax import NAT, Arrow, Term, Ty, arrow, format_ty, infer
 
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
@@ -90,7 +90,8 @@ def _split_spec(text: str):
     tail = tail.strip()
     if not tail.startswith("default="):
         raise ValueError(f"bad oracle spec {text!r}: missing default=")
-    entries = [part.strip() for part in head.split(",") if part.strip()]
+    # an empty entry stays, so int() refuses it: dropping it would shift the rest
+    entries = [part.strip() for part in head.split(",")] if head.strip() else []
     return entries, tail[len("default="):].strip()
 
 
@@ -128,7 +129,7 @@ def generic(tree: DTree) -> DTree:
 # ---------------------------------------------------------------------------
 
 
-DialValue = Union[DTree, FunV]
+DialValue = Union[DTree, Callable]
 
 
 def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: DTree) -> DialValue:
@@ -136,7 +137,7 @@ def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: DTree) -> DialValue:
     if ty == NAT:
         return kleisli(fn, tree)
     cod = ty.codomain
-    return FunV(lambda s: gkleisli(cod, lambda n: fn(n).fn(s), tree))
+    return lambda s: gkleisli(cod, lambda n: fn(n)(s), tree)
 
 
 #: The tree model: a natural is the tree of queries that computes it, and the
@@ -164,7 +165,7 @@ def require_baire_fn(term: Term) -> None:
 def dialogue_tree(term: Term) -> DTree:
     """The tree of queries a closed term of type (nat -> nat) -> nat performs."""
     require_baire_fn(term)
-    return eval_dial(term).fn(FunV(generic))
+    return eval_dial(term)(generic)
 
 
 # ---------------------------------------------------------------------------

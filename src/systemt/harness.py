@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from . import church, dialogue, moduli
 from .dialogue import BAIRE_FN, Branch, DTree, Leaf, Oracle
-from .set_model import apply_value, eval_set, lift_oracle
+from .set_model import eval_set, lift_oracle
 from .syntax import (
     NAT,
     SUBTERMS,
@@ -329,14 +329,14 @@ class _Views:
     @cached_property
     def internal_dialogue(self):
         internal = eval_set(church.dialogue_tree_int(self.term, BAIRE_FN))
-        return apply_value(self.compiled[church.dialogue_f_int], internal)
+        return self.compiled[church.dialogue_f_int](internal)
 
     @cached_property
     def uniform_max(self) -> int:
         return moduli.max_bool_question(moduli.prune(self.tree))
 
     def value_at(self, alpha: Oracle) -> int:
-        return apply_value(self.value, lift_oracle(alpha))
+        return self.value(lift_oracle(alpha))
 
 
 def _differ(lhs: int, rhs: int, detail: str) -> Optional[str]:
@@ -348,7 +348,7 @@ def _thm16(v: _Views, alpha: Oracle) -> Optional[str]:
 
 
 def _thm37(v: _Views, alpha: Oracle) -> Optional[str]:
-    rhs = apply_value(v.internal_dialogue, lift_oracle(alpha))
+    rhs = v.internal_dialogue(lift_oracle(alpha))
     return _differ(v.value_at(alpha), rhs, "set model {} != internal dialogue {}")
 
 
@@ -360,11 +360,11 @@ def _pointwise_moduli(tree_view: str):
         tree, a = getattr(v, tree_view), lift_oracle(alpha)
         return _differ(
             moduli.max_question(v.tree, alpha),
-            apply_value(v.compiled[moduli.max_question_int], tree, a),
+            v.compiled[moduli.max_question_int](tree)(a),
             "max question: external {} != internal {}",
         ) or _differ(
             moduli.modulus(v.tree, alpha),
-            apply_value(v.compiled[moduli.modulus_int], tree, a),
+            v.compiled[moduli.modulus_int](tree)(a),
             "modulus: external {} != internal {}",
         )
 
@@ -383,7 +383,7 @@ def agreeing_oracle(alpha: Oracle, m: int, rng: random.Random) -> Oracle:
 def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
     """Oracles agreeing with alpha below the internal modulus give its value."""
     rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
-    m = apply_value(v.compiled[moduli.modulus_int], v.internal, lift_oracle(alpha))
+    m = v.compiled[moduli.modulus_int](v.internal)(lift_oracle(alpha))
     want = v.value_at(alpha)
     for _ in range(50):
         beta = agreeing_oracle(alpha, m, rng)
@@ -401,7 +401,7 @@ def _uniform_max_question(tree_view: str):
     one, run on the encoded or on the internal tree."""
 
     def check(v: _Views, _: None) -> Optional[str]:
-        rhs = apply_value(v.compiled[moduli.max_bool_question_int], getattr(v, tree_view))
+        rhs = v.compiled[moduli.max_bool_question_int](getattr(v, tree_view))
         return _differ(v.uniform_max, rhs, "uniform max question: external {} != internal {}")
 
     return check
@@ -411,7 +411,7 @@ def _thm55(v: _Views, _: None) -> Optional[str]:
     """The internal uniform modulus m is one past the tree's max question, and
     0/1 points agreeing on [0, m) give equal values: exhaustive over the 2^m
     prefixes when m <= 12, 200 sampled prefixes otherwise."""
-    m = apply_value(v.compiled[moduli.modulus_uni_int], v.internal)
+    m = v.compiled[moduli.modulus_uni_int](v.internal)
     if m != 1 + v.uniform_max:
         return f"uniform modulus {m} != 1 + tree max {v.uniform_max}"
     rng = random.Random(_mix(v.seed, 104729))
@@ -467,10 +467,10 @@ def run_suite(
     if which == "lem36":  # running a tree = the internal dialogue operator on its encoding
         for i in range(n_terms):
             d = gen_tree(replace(cfg, seed=_mix(cfg.seed, i)))
-            internal = apply_value(compiled[church.dialogue_f_int], church.encode(d, BAIRE_FN))
+            internal = compiled[church.dialogue_f_int](church.encode(d, BAIRE_FN))
             for alpha in oracles:
                 report.cases += 1
-                lhs, rhs = dialogue.dieval(d, alpha), apply_value(internal, lift_oracle(alpha))
+                lhs, rhs = dialogue.dieval(d, alpha), internal(lift_oracle(alpha))
                 if lhs != rhs:
                     detail = f"dieval {lhs} != internal dialogue {rhs}"
                     report.failures.append(Failure(None, alpha.spec(), detail))

@@ -6,9 +6,10 @@ term again.  The same compiler serves the set model here, where terms evaluate
 to numbers and host functions, and the tree model in `dialogue`, where ground
 values are dialogue trees.  Following effectful forcing, the two models differ
 only at the ground type, so a `Model` record holds just the four things that
-touch it.  `FunV` alone marks function values, so compiled closures pass
-ground values unboxed: a plain `int` here, a bare `DTree` in the tree model.
-`NatV` boxes naturals only at the public boundary, `eval_set` and `apply_set`.
+touch it.  In both models a function value is a plain Python callable, and
+no ground value is callable, so compiled closures pass ground values unboxed:
+a plain `int` here, a bare `DTree` in the tree model.  `NatV` boxes naturals
+only at the public boundary, `eval_set` and `apply_set`.
 """
 
 from __future__ import annotations
@@ -29,17 +30,8 @@ class NatV:
     value: int
 
 
-class FunV:
-    """A semantic function value of either model; compared by identity, applied via .fn."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-
 #: A value of the set model inside compiled closures.
-SetValue = Union[int, FunV]
+SetValue = Union[int, Callable]
 
 #: A compiled term: a closure from an environment to a value of the model.
 Compiled = Callable[[tuple], object]
@@ -76,32 +68,23 @@ def natv(n: int) -> NatV:
     return _SMALL[n] if 0 <= n < 4096 else NatV(_natural(n))
 
 
-def apply_set(fn: FunV, arg) -> Union[NatV, FunV]:
+def apply_set(fn: Callable, arg) -> Union[NatV, Callable]:
     """Apply a function value of the set model (not the tree model) to a
     NatV, an int or a function value; a negative natural raises ValueError."""
-    if not isinstance(fn, FunV):
+    if not callable(fn):
         raise SemanticsBug("a ground value was applied as a function")
     if isinstance(arg, NatV):
         arg = arg.value
-    if not isinstance(arg, FunV) and arg < 0:  # inline, not _natural: no frame per call
+    if not callable(arg) and arg < 0:  # inline, not _natural: no frame per call
         raise ValueError(f"naturals are nonnegative, got {arg}")
-    out = fn.fn(arg)
-    return out if isinstance(out, FunV) else _SMALL[out] if 0 <= out < 4096 else natv(out)
+    out = fn(arg)
+    return out if callable(out) else _SMALL[out] if 0 <= out < 4096 else natv(out)
 
 
-def apply_value(fn: FunV, *args) -> object:
-    """Apply a function value of either model to args in turn, all unboxed."""
-    for arg in args:
-        if not isinstance(fn, FunV):
-            raise SemanticsBug("a ground value was applied as a function")
-        fn = fn.fn(arg)
-    return fn
-
-
-def lift_oracle(alpha) -> FunV:
+def lift_oracle(alpha) -> Callable[[int], int]:
     """Wrap a point of the Baire space, an Oracle or any function on the
     naturals, as a value of type nat -> nat whose answers must be naturals."""
-    return FunV(lambda n: _natural(alpha(n)))
+    return lambda n: _natural(alpha(n))
 
 
 #: The set model: a natural is an int, and the recursor runs on its value.
@@ -113,13 +96,13 @@ SET_MODEL = Model(
 )
 
 
-def eval_set(term: Term, env=()) -> Union[NatV, FunV]:
+def eval_set(term: Term, env=()) -> Union[NatV, Callable]:
     """Evaluate a well-typed term in an environment for its context (NatV or int at ground)."""
     env = tuple(
-        v if isinstance(v, FunV) else _natural(v.value if isinstance(v, NatV) else v) for v in env
+        v if callable(v) else _natural(v.value if isinstance(v, NatV) else v) for v in env
     )
     out = compile_term(term, SET_MODEL)(env)
-    return out if isinstance(out, FunV) else natv(out)
+    return out if callable(out) else natv(out)
 
 
 def compile_term(term: Term, model: Model) -> Compiled:
@@ -140,16 +123,16 @@ def compile_term(term: Term, model: Model) -> Compiled:
         return model.plus(compile_term(core, model), k)
     if isinstance(term, Lam):
         bodyc = compile_term(term.body, model)
-        return lambda env: FunV(lambda v: bodyc((v,) + env))
+        return lambda env: lambda v: bodyc((v,) + env)
     if isinstance(term, App):
         fnc = compile_term(term.fn, model)
         argc = compile_term(term.arg, model)
 
         def apply(env):
             fn = fnc(env)
-            if not isinstance(fn, FunV):
+            if not callable(fn):
                 raise SemanticsBug("a ground value was applied as a function")
-            return fn.fn(argc(env))
+            return fn(argc(env))
 
         return apply
     if isinstance(term, Rec):
@@ -188,9 +171,9 @@ def _compile_iterate(term: Rec, model: Model):
     def iterate(env, n):
         acc = basec(env)
         if n:
-            fn = stepc(env).fn
+            fn = stepc(env)
             for k in indices(n):
-                acc = fn(k).fn(acc)
+                acc = fn(k)(acc)
         return acc
 
     return iterate

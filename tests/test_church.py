@@ -31,7 +31,7 @@ from systemt.dialogue import (
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
 from systemt.moduli import max_bool_question_int, max_question_int, max_term, modulus_int, modulus_uni_int
-from systemt.set_model import FunV, NatV, apply_set, eval_set, lift_oracle, natv
+from systemt.set_model import NatV, apply_set, eval_set, lift_oracle, natv
 from systemt.syntax import (
     NAT,
     App,
@@ -145,11 +145,11 @@ def test_gkleisli_int_matches_external_through_encode():
 
     external = gkleisli(
         Arrow(NAT, NAT),
-        lambda n: FunV(lambda s: functor_map(lambda x: x + n, s)),
+        lambda n: lambda s: functor_map(lambda x: x + n, s),
         d,
     )
     probe_tree = Branch(0, lambda y: Leaf(y))
-    ext_tree = external.fn(probe_tree)
+    ext_tree = external(probe_tree)
     int_val = apply_set(internal, encode(probe_tree, NAT))
     for alpha in [Oracle((3, 1), 0), Oracle((), 2)]:
         want = dieval(ext_tree, alpha)
@@ -159,8 +159,8 @@ def test_gkleisli_int_matches_external_through_encode():
 
 def _observe_nat_tree(value, alpha):
     """Fold an encoded nat-motive tree with handlers that run the dialogue."""
-    idh = FunV(lambda v: v)
-    run = FunV(lambda g: FunV(lambda x: g.fn(alpha(x))))
+    idh = lambda v: v
+    run = lambda g: lambda x: g(alpha(x))
     return apply_set(apply_set(value, idh), run).value
 
 
@@ -298,13 +298,13 @@ def test_dialogue_f_int_runs_internal_tree():
 
 
 def test_encode_leaf_with_identity_handler():
-    idh = FunV(lambda v: v)
+    idh = lambda v: v
     bh = ev("fun (g : nat -> nat) -> fun (x : nat) -> g x")
     assert apply_set(apply_set(encode(Leaf(0), NAT), idh), bh) == NatV(0)
 
 
 def test_encode_branch_unfolds_once():
-    idh = FunV(lambda v: v)
+    idh = lambda v: v
     bh = ev("fun (g : nat -> nat) -> fun (x : nat) -> g x")
     assert apply_set(apply_set(encode(Branch(3, lambda y: Leaf(y)), NAT), idh), bh) == NatV(3)
 

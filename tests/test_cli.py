@@ -81,6 +81,17 @@ def test_eval_bad_oracle_spec(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("spec", ["1,,2;default=0", ",7;default=0"])
+def test_eval_empty_oracle_entry_exits_1(tmp_path, capsys, spec):
+    # an empty entry must be refused, not dropped: dropping shifts the later entries
+    f = tmp_path / "a1.t"
+    f.write_text("fun (a : nat -> nat) -> a 1")
+    code, out, err = run(capsys, "eval", str(f), "--oracle", spec)
+    assert code == 1
+    assert out == ""
+    assert "bad oracle spec" in err
+
+
 def test_eval_negative_oracle_exits_1(capsys):
     code, out, err = run(capsys, "eval", corpus("a4"), "--oracle", "default=-1")
     assert code == 1
@@ -220,6 +231,19 @@ def test_selftest_runs_all_suites_small(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 9
     assert all("[ok]" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--suite", "thm16", "--terms", "3", "--oracles", "0"],
+        ["--suite", "lem36", "--terms", "0"],
+    ],
+)
+def test_selftest_suite_with_no_case_exits_2(capsys, flags):
+    code, out, _ = run(capsys, "selftest", *flags)
+    assert code == 2
+    assert out == f"{flags[1]}: 0 cases [FAILED: no case ran]\n"
 
 
 def test_selftest_failure_exits_2(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from systemt.dialogue import (
     tree_sexpr,
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
-from systemt.set_model import FunV, apply_set, eval_set, lift_oracle
+from systemt.set_model import apply_set, eval_set, lift_oracle
 from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, numeral, parse, typecheck
 
 identity = lambda i: i
@@ -70,6 +70,10 @@ def test_oracle_spec_errors():
         Oracle.from_spec("1,2,3")
     with pytest.raises(ValueError):
         Oracle.from_spec("a;default=0")
+    # an empty entry is an error, not dropped: later entries must not shift
+    for text in ["1,,2;default=0", ",7;default=0"]:
+        with pytest.raises(ValueError, match="bad oracle spec"):
+            Oracle.from_spec(text)
 
 
 def test_oracle_rejects_negative_values():
@@ -156,10 +160,10 @@ def test_gkleisli_unit_at_ground():
 
 def test_gkleisli_arrow_applies_pointwise():
     # at nat -> nat over a leaf, grafting just applies the function at the leaf
-    fn = lambda n: FunV(lambda s: functor_map(lambda m: m + n, s))
+    fn = lambda n: lambda s: functor_map(lambda m: m + n, s)
     out = gkleisli(Arrow(NAT, NAT), fn, Leaf(5))
     probe = Leaf(10)
-    assert dieval(out.fn(probe), identity) == dieval(fn(5).fn(probe), identity) == 15
+    assert dieval(out(probe), identity) == dieval(fn(5)(probe), identity) == 15
 
 
 # -- term evaluation ------------------------------------------------------------
@@ -192,9 +196,9 @@ def reference_dial(term, env=()):
     if isinstance(term, Succ):
         return functor_map(lambda n: n + 1, reference_dial(term.arg, env))
     if isinstance(term, Lam):
-        return FunV(lambda v: reference_dial(term.body, (v,) + env))
+        return lambda v: reference_dial(term.body, (v,) + env)
     if isinstance(term, App):
-        return reference_dial(term.fn, env).fn(reference_dial(term.arg, env))
+        return reference_dial(term.fn, env)(reference_dial(term.arg, env))
     if isinstance(term, Rec):
         stepv = reference_dial(term.step, env)
         basev = reference_dial(term.base, env)
@@ -203,7 +207,7 @@ def reference_dial(term, env=()):
         def iterate(n):
             acc = basev
             for k in range(n):
-                acc = stepv.fn(Leaf(k)).fn(acc)
+                acc = stepv(Leaf(k))(acc)
             return acc
 
         return gkleisli(term.motive, iterate, argv)
@@ -211,7 +215,7 @@ def reference_dial(term, env=()):
 
 
 def _reference_tree(t):
-    return reference_dial(t).fn(FunV(generic))
+    return reference_dial(t)(generic)
 
 
 def test_tree_model_matches_reference_on_generated_terms():
@@ -241,7 +245,7 @@ def test_tree_model_recursor_fast_paths_match_reference(src, expect):
     staged, ref = eval_dial(fn), reference_dial(fn)
     args = [Leaf(n) for n in [0, 1, 2, 17, 400]] + [generic(Leaf(3))]
     for arg in args:
-        got, want = staged.fn(arg), ref.fn(arg)
+        got, want = staged(arg), ref(arg)
         for alpha in ORACLES:
             assert dieval(got, alpha) == dieval(want, alpha) == expect(dieval(arg, alpha))
 

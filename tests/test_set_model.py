@@ -2,11 +2,10 @@ import sys
 
 import pytest
 
-from systemt.dialogue import Oracle
+from systemt.dialogue import Oracle, eval_dial
 from systemt.harness import GenConfig, gen_oracle, gen_term
 from systemt.moduli import max_term
 from systemt.set_model import (
-    FunV,
     NatV,
     SemanticsBug,
     apply_set,
@@ -75,7 +74,7 @@ def test_eval_rec_at_arrow_motive():
 def test_type_soundness_shapes():
     assert isinstance(ev("zero"), NatV)
     fn = ev("fun (x : nat) -> x")
-    assert isinstance(fn, FunV)
+    assert callable(fn)
     assert infer(typecheck(parse("fun (x : nat) -> x"))) == Arrow(NAT, NAT)
 
 
@@ -115,11 +114,11 @@ def test_caller_built_function_values_receive_plain_ints():
         return n + 1
 
     v = ev("fun (a : nat -> nat) -> a (a 2)")
-    assert apply_set(v, FunV(record)) == NatV(4)
+    assert apply_set(v, record) == NatV(4)
     assert seen == [2, 3] and all(type(n) is int for n in seen)
     rec = ev("fun (f : nat -> nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) -> f i) zero 3")
     seen.clear()
-    assert apply_set(rec, FunV(record)) == NatV(3)
+    assert apply_set(rec, record) == NatV(3)
     assert seen == [2] and type(seen[0]) is int
 
 
@@ -148,6 +147,15 @@ def test_apply_number_panics():
         apply_set(NatV(3), NatV(0))
     with pytest.raises(SemanticsBug):
         apply_set(3, 0)
+
+
+def test_compiled_application_of_a_number_panics():
+    # the check in the compiled App, the only one a typechecker bug reaches
+    # inside a term; App(Zero(), Zero()) is ill-typed, so no parse builds it
+    with pytest.raises(SemanticsBug):
+        eval_set(App(Zero(), Zero()))
+    with pytest.raises(SemanticsBug):
+        eval_dial(App(Zero(), Zero()))
 
 
 # -- lift_oracle ----------------------------------------------------------------
@@ -181,14 +189,14 @@ def reference_eval(term, env=()):
     if isinstance(term, Succ):
         return reference_eval(term.arg, env) + 1
     if isinstance(term, Lam):
-        return FunV(lambda v: reference_eval(term.body, (v,) + tuple(env)))
+        return lambda v: reference_eval(term.body, (v,) + tuple(env))
     if isinstance(term, App):
-        return reference_eval(term.fn, env).fn(reference_eval(term.arg, env))
+        return reference_eval(term.fn, env)(reference_eval(term.arg, env))
     if isinstance(term, Rec):
         fn = reference_eval(term.step, env)
         acc = reference_eval(term.base, env)
         for k in range(reference_eval(term.arg, env)):
-            acc = fn.fn(k).fn(acc)
+            acc = fn(k)(acc)
         return acc
     raise TypeError(term)
 
