@@ -5,7 +5,8 @@ branch handler.  Because System T is monomorphic, every construction here is
 parameterized by the motive, the System T type the fold eliminates into.
 The closed programs on encoded trees (leaf, branch, the Kleisli extension,
 the generic sequence, the dialogue operator) are written in System T's own
-surface syntax and typechecked when first built; see `closed`.
+surface syntax, typechecked when first built and compiled once per model;
+see `closed`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .dialogue import BAIRE_FN, DTree, Leaf, require_baire_fn
-from .set_model import SetValue, eval_set
+from .set_model import SetValue, eval_set, share
 from .syntax import NAT, App, Arrow, Lam, Rec, Succ, Term, Ty, Var, Zero, format_ty, parse, typecheck
 
 #: The motive of a fold is just a System T type.
@@ -50,7 +51,7 @@ def closed(src: str, motive: Motive = NAT, **defs) -> Term:
     types.update((name, ty) for name, ty in defs.items() if isinstance(ty, Ty))
     terms = {name: t for name, t in defs.items() if not isinstance(t, Ty)}
     text = src.format_map({name: f"({format_ty(ty)})" for name, ty in types.items()})
-    return typecheck(parse(text, terms))
+    return share(typecheck(parse(text, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +112,11 @@ def gkleisli_int(sigma: Ty, motive: Motive) -> Term:
 # The term translation
 # ---------------------------------------------------------------------------
 
-_SUCC_FN = closed("fun (n : nat) -> succ n")
+@lru_cache(maxsize=None)
+def _numerals(motive: Motive) -> "tuple[Term, Term]":
+    """The translations of zero and of succ."""
+    succ = closed("functor (fun (n : nat) -> succ n)", motive, functor=functor_int(motive))
+    return closed("leaf 0", motive, leaf=leaf_int(motive)), succ
 
 
 def translate(term: Term, motive: Motive) -> Term:
@@ -127,41 +132,39 @@ def translate(term: Term, motive: Motive) -> Term:
     A binder extends ren with its own index 0, and the step and base are
     translated with every target bumped by 2 and 1.
     """
-    leaf = leaf_int(motive)
-    zero = App(leaf, Zero())
-    succ = App(functor_int(motive), _SUCC_FN)
+    return _translate(term, motive, (), 0)
 
-    def go(t: Term, ren: tuple, k: int) -> Term:
-        if isinstance(t, Var):
-            i = t.index
-            j = ren[i] if i < len(ren) else i + k
-            return t if i == j else Var(j)
-        if isinstance(t, App):
-            return App(go(t.fn, ren, k), go(t.arg, ren, k))
-        if isinstance(t, Lam):
-            if ren or k:
-                ren = (0, *[r + 1 for r in ren])
-            return Lam(translate_type(t.domain, motive), go(t.body, ren, k))
-        if isinstance(t, Zero):
-            return zero
-        if isinstance(t, Succ):
-            return App(succ, go(t.arg, ren, k))
-        if isinstance(t, Rec):
-            step = go(t.step, tuple(r + 2 for r in ren), k + 2)
-            base = go(t.base, tuple(r + 1 for r in ren), k + 1)
-            rec_fn = Lam(
-                NAT,
-                Rec(
-                    translate_type(t.motive, motive),
-                    Lam(NAT, App(step, App(leaf, Var(0)))),
-                    base,
-                    Var(0),
-                ),
-            )
-            return App(App(gkleisli_int(t.motive, motive), rec_fn), go(t.arg, ren, k))
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(term, (), 0)
+def _translate(t: Term, motive: Motive, ren: tuple, k: int) -> Term:
+    # not a closure over itself, which would leave a reference cycle per call
+    if isinstance(t, Var):
+        i = t.index
+        j = ren[i] if i < len(ren) else i + k
+        return t if i == j else Var(j)
+    if isinstance(t, App):
+        return App(_translate(t.fn, motive, ren, k), _translate(t.arg, motive, ren, k))
+    if isinstance(t, Lam):
+        if ren or k:
+            ren = (0, *[r + 1 for r in ren])
+        return Lam(translate_type(t.domain, motive), _translate(t.body, motive, ren, k))
+    if isinstance(t, Zero):
+        return _numerals(motive)[0]
+    if isinstance(t, Succ):
+        return App(_numerals(motive)[1], _translate(t.arg, motive, ren, k))
+    if isinstance(t, Rec):
+        step = _translate(t.step, motive, tuple(r + 2 for r in ren), k + 2)
+        base = _translate(t.base, motive, tuple(r + 1 for r in ren), k + 1)
+        rec_fn = Lam(
+            NAT,
+            Rec(
+                translate_type(t.motive, motive),
+                Lam(NAT, App(step, App(leaf_int(motive), Var(0)))),
+                base,
+                Var(0),
+            ),
+        )
+        return App(App(gkleisli_int(t.motive, motive), rec_fn), _translate(t.arg, motive, ren, k))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def dialogue_tree_int(term: Term, motive: Motive) -> Term:
@@ -190,19 +193,13 @@ def dialogue_f_int() -> Term:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _encode_constructors(motive: Motive):
-    return eval_set(leaf_int(motive)), eval_set(branch_int(motive))
-
-
 def encode(tree: DTree, motive: Motive) -> SetValue:
     """The set-model value of an inductive tree at the encoded-tree type."""
-    leaf_v, branch_v = _encode_constructors(motive)
+    return _encode(tree, eval_set(leaf_int(motive)), eval_set(branch_int(motive)))
 
-    def go(t: DTree) -> SetValue:
-        if isinstance(t, Leaf):
-            return leaf_v(t.value)
-        children = t.children
-        return branch_v(lambda n: go(children(n)))(t.query)
 
-    return go(tree)
+def _encode(tree: DTree, leaf_v, branch_v) -> SetValue:
+    if isinstance(tree, Leaf):
+        return leaf_v(tree.value)
+    children = tree.children
+    return branch_v(lambda n: _encode(children(n), leaf_v, branch_v))(tree.query)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import asdict
 
 from . import church, harness, moduli
 from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, require_baire_fn, tree_sexpr
@@ -92,7 +93,7 @@ def cmd_selftest(args) -> int:
     suites = [args.suite] if args.suite else list(harness.SUITE_IDS)
     cfg = harness.GenConfig(seed=args.seed)
     corpus = harness.corpus_terms()
-    failed = False
+    results = []
     for suite in suites:
         n_terms, n_oracles = SELFTEST_SCALES[suite]
         if args.terms is not None:
@@ -100,13 +101,18 @@ def cmd_selftest(args) -> int:
         if args.oracles is not None:
             n_oracles = args.oracles
         report = harness.run_suite(suite, cfg, n_terms, n_oracles, extra_terms=corpus)
-        print(report.summary() if report.cases else f"{suite}: 0 cases [FAILED: no case ran]")
-        failed = failed or not report.cases or not report.passed
-        for failure in report.failures:
-            where = f" oracle {failure.oracle}" if failure.oracle else ""
-            term = f" term {failure.term}" if failure.term else ""
-            print(f"  FAIL{term}{where}: {failure.detail}")
-    return 2 if failed else 0
+        results.append({**asdict(report), "passed": bool(report.cases) and report.passed})
+        if not args.json:
+            print(report.summary() if report.cases else f"{suite}: 0 cases [FAILED: no case ran]")
+            for failure in report.failures:
+                where = f" oracle {failure.oracle}" if failure.oracle else ""
+                term = f" term {failure.term}" if failure.term else ""
+                print(f"  FAIL{term}{where}: {failure.detail}")
+    passed = all(result["passed"] for result in results)
+    if args.json:
+        import json  # loaded only here: importing it costs every command about 2 ms
+        print(json.dumps({"passed": passed, "suites": results}))
+    return 0 if passed else 2
 
 
 def _int_at_least(low: int):
@@ -159,6 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--terms", type=_int_at_least(0), default=None, help="override generated inputs per suite")
     p.add_argument("--oracles", type=_int_at_least(0), default=None, help="override oracles per input")
+    p.add_argument("--json", action="store_true", help="print one JSON object instead of the text report")
     p.set_defaults(run=cmd_selftest)
 
     return top

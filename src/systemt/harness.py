@@ -12,10 +12,12 @@ the whole tree once) to a failure detail or None.  The views of a term are
 built on first use and shared by all its points: the set-model value, the
 external dialogue tree and its Church encoding, the compiled internal tree,
 the internal dialogue operator applied to the internal tree, and the
-tree-wide max question over answers 0 and 1.  `run_suite` runs any row over
-terms x points and shrinks each failing term by re-running the same check on
-fresh views of every candidate.  lem36 observes generated trees, not terms,
-and so has no row and nothing to shrink.
+tree-wide max question over answers 0 and 1.  A check builds the closed
+constants it applies, such as `moduli.modulus_int()`, at each use, so a test
+can swap in a faulty one; set_model compiles each once.  `run_suite` runs any
+row over terms x points and shrinks each failing term by re-running the same
+check on fresh views of every candidate.  lem36 observes generated trees, not
+terms, and so has no row and nothing to shrink.
 """
 
 from __future__ import annotations
@@ -166,21 +168,20 @@ def gen_oracle(cfg: GenConfig) -> Oracle:
 
 def gen_tree(cfg: GenConfig, depth: int = 4) -> DTree:
     """A finite random tree; children vary over a few answers, then repeat."""
-    rng = random.Random(cfg.seed)
+    return _gen_tree(random.Random(cfg.seed), depth)
 
-    def go(d):
-        if d == 0 or rng.random() < 0.3:
-            return Leaf(rng.randint(0, 12))
-        query = rng.randint(0, 12)
-        width = rng.randint(1, 3)
-        kids = tuple(go(d - 1) for _ in range(width + 1))
 
-        def children(a, kids=kids, width=width):
-            return kids[a] if isinstance(a, int) and a < width else kids[width]
+def _gen_tree(rng: random.Random, depth: int) -> DTree:
+    if depth == 0 or rng.random() < 0.3:
+        return Leaf(rng.randint(0, 12))
+    query = rng.randint(0, 12)
+    width = rng.randint(1, 3)
+    kids = tuple(_gen_tree(rng, depth - 1) for _ in range(width + 1))
 
-        return Branch(query, children)
+    def children(a):
+        return kids[a] if isinstance(a, int) and a < width else kids[width]
 
-    return go(depth)
+    return Branch(query, children)
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +294,12 @@ SUITE_IDS = (
 )
 
 
-class _Compiled(dict):
-    """Closed constants compiled on first use within one run, keyed by the
-    function that builds each.  Callers look that function up when they use
-    it, so a test can swap it for a faulty one."""
-
-    def __missing__(self, make):
-        value = self[make] = eval_set(make())
-        return value
-
-
 class _Views:
     """What the suites observe of one closed term of type (nat -> nat) -> nat,
     each view built on first use and kept for all the points checked."""
 
-    def __init__(self, term: Term, compiled: _Compiled, seed: int):
-        self.term, self.compiled, self.seed = term, compiled, seed
+    def __init__(self, term: Term, seed: int):
+        self.term, self.seed = term, seed
 
     @cached_property
     def value(self):
@@ -329,7 +320,7 @@ class _Views:
     @cached_property
     def internal_dialogue(self):
         internal = eval_set(church.dialogue_tree_int(self.term, BAIRE_FN))
-        return self.compiled[church.dialogue_f_int](internal)
+        return eval_set(church.dialogue_f_int())(internal)
 
     @cached_property
     def uniform_max(self) -> int:
@@ -360,11 +351,11 @@ def _pointwise_moduli(tree_view: str):
         tree, a = getattr(v, tree_view), lift_oracle(alpha)
         return _differ(
             moduli.max_question(v.tree, alpha),
-            v.compiled[moduli.max_question_int](tree)(a),
+            eval_set(moduli.max_question_int())(tree)(a),
             "max question: external {} != internal {}",
         ) or _differ(
             moduli.modulus(v.tree, alpha),
-            v.compiled[moduli.modulus_int](tree)(a),
+            eval_set(moduli.modulus_int())(tree)(a),
             "modulus: external {} != internal {}",
         )
 
@@ -383,7 +374,7 @@ def agreeing_oracle(alpha: Oracle, m: int, rng: random.Random) -> Oracle:
 def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
     """Oracles agreeing with alpha below the internal modulus give its value."""
     rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
-    m = v.compiled[moduli.modulus_int](v.internal)(lift_oracle(alpha))
+    m = eval_set(moduli.modulus_int())(v.internal)(lift_oracle(alpha))
     want = v.value_at(alpha)
     for _ in range(50):
         beta = agreeing_oracle(alpha, m, rng)
@@ -401,7 +392,7 @@ def _uniform_max_question(tree_view: str):
     one, run on the encoded or on the internal tree."""
 
     def check(v: _Views, _: None) -> Optional[str]:
-        rhs = v.compiled[moduli.max_bool_question_int](getattr(v, tree_view))
+        rhs = eval_set(moduli.max_bool_question_int())(getattr(v, tree_view))
         return _differ(v.uniform_max, rhs, "uniform max question: external {} != internal {}")
 
     return check
@@ -411,7 +402,7 @@ def _thm55(v: _Views, _: None) -> Optional[str]:
     """The internal uniform modulus m is one past the tree's max question, and
     0/1 points agreeing on [0, m) give equal values: exhaustive over the 2^m
     prefixes when m <= 12, 200 sampled prefixes otherwise."""
-    m = v.compiled[moduli.modulus_uni_int](v.internal)
+    m = eval_set(moduli.modulus_uni_int())(v.internal)
     if m != 1 + v.uniform_max:
         return f"uniform modulus {m} != 1 + tree max {v.uniform_max}"
     rng = random.Random(_mix(v.seed, 104729))
@@ -462,12 +453,11 @@ def run_suite(
         raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
     started = time.perf_counter()
     oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
-    compiled = _Compiled()
     report = Report(suite=which, cases=0)
     if which == "lem36":  # running a tree = the internal dialogue operator on its encoding
         for i in range(n_terms):
             d = gen_tree(replace(cfg, seed=_mix(cfg.seed, i)))
-            internal = compiled[church.dialogue_f_int](church.encode(d, BAIRE_FN))
+            internal = eval_set(church.dialogue_f_int())(church.encode(d, BAIRE_FN))
             for alpha in oracles:
                 report.cases += 1
                 lhs, rhs = dialogue.dieval(d, alpha), internal(lift_oracle(alpha))
@@ -480,13 +470,13 @@ def run_suite(
         terms += [gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_terms)]
         for i, term in enumerate(terms):
             seed = _mix(cfg.seed, i)  # each term's probes draw from their own seed
-            views = _Views(term, compiled, seed)
+            views = _Views(term, seed)
             for alpha in [None] if which in _UNIFORM else oracles:
                 report.cases += 1
                 detail = check(views, alpha)
                 if detail is not None:
                     small = shrink_term(
-                        term, lambda t: check(_Views(t, compiled, seed), alpha) is not None
+                        term, lambda t: check(_Views(t, seed), alpha) is not None
                     )
                     spec = None if alpha is None else alpha.spec()
                     report.failures.append(Failure(pretty(small), spec, detail))

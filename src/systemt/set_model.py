@@ -2,19 +2,20 @@
 
 `compile_term` compiles a term once into nested Python closures over
 environments; the result is applied any number of times without walking the
-term again.  The same compiler serves the set model here, where terms evaluate
-to numbers and host functions, and the tree model in `dialogue`, where ground
+term again, and a closed constant recorded with `share` compiles once per
+model.  The same compiler serves the set model here, where terms evaluate to
+numbers and host functions, and the tree model in `dialogue`, where ground
 values are dialogue trees.  Following effectful forcing, the two models differ
 only at the ground type, so a `Model` record holds just the four things that
-touch it.  In both models a function value is a plain Python callable, and
-no ground value is callable, so compiled closures pass ground values unboxed:
-a plain `int` here, a bare `DTree` in the tree model.  `NatV` boxes naturals
-only at the public boundary, `eval_set` and `apply_set`.
+touch it.  In both models a function value is a plain Python callable, and no
+ground value is callable, so compiled closures pass ground values unboxed: a
+plain `int` here, a bare `DTree` in the tree model.  `NatV` boxes naturals only
+at the public boundary, `eval_set` and `apply_set`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -105,8 +106,26 @@ def eval_set(term: Term, env=()) -> Union[NatV, Callable]:
     return out if callable(out) else natv(out)
 
 
+#: Closed constants by id: the term, which keeps its id its own, and its value per model.
+_SHARED: "dict[int, tuple[Term, dict]]" = {}
+
+
+def share(term: Term) -> Term:
+    """Record a closed term, whose closure never reads its environment: every
+    occurrence of this object, not of an equal one, compiles to one value per model."""
+    _SHARED[id(term)] = (term, {})
+    return term
+
+
 def compile_term(term: Term, model: Model) -> Compiled:
     """Compile a well-typed term into a closure over environments of the model."""
+    shared = _SHARED.get(id(term))
+    if shared is not None:
+        values = shared[1]
+        if model not in values:  # a copy is not recorded, so it compiles as usual
+            values[model] = compile_term(replace(term), model)(())
+        value = values[model]
+        return lambda env: value
     if isinstance(term, Var):
         # a C-level getter: reading a variable costs no Python frame
         return itemgetter(term.index)

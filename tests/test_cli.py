@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -256,3 +257,40 @@ def test_selftest_failure_exits_2(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "5", "--oracles", "2")
     assert code == 2
     assert "FAIL" in out
+
+
+def test_selftest_json_reports_each_suite(capsys):
+    code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "3", "--oracles", "2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    [suite] = report["suites"]
+    assert suite["suite"] == "thm16" and suite["cases"] == 26  # 10 corpus + 3 generated terms, 2 oracles
+    assert suite["passed"] is True and suite["failures"] == []
+    assert suite["seconds"] >= 0
+
+
+def test_selftest_json_lists_failures_and_exits_2(capsys, monkeypatch):
+    from systemt import dialogue
+    from systemt.dialogue import Branch, Leaf, kleisli
+
+    monkeypatch.setattr(
+        dialogue, "generic", lambda tree: kleisli(lambda n: Branch(0, Leaf), tree)
+    )
+    code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "5", "--oracles", "2", "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["passed"] is False
+    [suite] = report["suites"]
+    assert suite["passed"] is False and suite["failures"]
+    for failure in suite["failures"]:
+        assert set(failure) == {"term", "oracle", "detail"}
+        assert failure["term"] and failure["oracle"] and failure["detail"]
+
+
+def test_selftest_json_counts_a_suite_with_no_case_as_failed(capsys):
+    code, out, _ = run(capsys, "selftest", "--suite", "lem36", "--terms", "0", "--json")
+    assert code == 2
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert [(s["suite"], s["cases"], s["passed"]) for s in report["suites"]] == [("lem36", 0, False)]

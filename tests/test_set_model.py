@@ -1,14 +1,19 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
-from systemt.dialogue import Oracle, eval_dial
-from systemt.harness import GenConfig, gen_oracle, gen_term
-from systemt.moduli import max_term
+from systemt import set_model
+from systemt.church import dialogue_tree_int, generic_int, leaf_int
+from systemt.dialogue import TREE_MODEL, Oracle, eval_dial
+from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term
+from systemt.moduli import max_term, modulus_int
 from systemt.set_model import (
+    SET_MODEL,
     NatV,
     SemanticsBug,
     apply_set,
+    compile_term,
     eval_set,
     lift_oracle,
     natv,
@@ -238,3 +243,46 @@ def test_max_term_costs_a_bounded_number_of_calls_per_step():
         sys.setprofile(None)
     assert out == NatV(y)
     assert calls <= 4 * y + 7
+
+
+# -- closed constants, compiled once per model --------------------------------
+
+
+def value_of(term, model=SET_MODEL):
+    return compile_term(term, model)(())
+
+
+def test_a_constant_compiles_to_one_value_per_model():
+    for constant in [leaf_int(NAT), generic_int(NAT), modulus_int(), max_term()]:
+        assert value_of(constant) is value_of(constant)
+        assert value_of(constant, TREE_MODEL) is value_of(constant, TREE_MODEL)
+        assert value_of(constant) is not value_of(constant, TREE_MODEL)
+        # an occurrence inside a larger term reuses the value too
+        assert value_of(App(Lam(NAT, constant), Zero())) is value_of(constant)
+
+
+def test_an_equal_term_that_is_another_object_compiles_on_its_own():
+    constant = leaf_int(NAT)
+    twin = replace(constant)
+    assert twin == constant and twin is not constant
+    assert value_of(twin) is not value_of(twin)
+    assert value_of(twin) is not value_of(constant)
+    assert value_of(twin)(5)(lambda z: z + 1)(None) == 6  # leaf 5 e b = e 5
+
+
+def test_translated_terms_build_the_generic_value_once(monkeypatch):
+    generic = generic_int(NAT)
+    # a fresh entry, so the count does not depend on what ran before
+    monkeypatch.setitem(set_model._SHARED, id(generic), (generic, {}))
+    builds = 0
+    original = compile_term
+
+    def counting(term, model):
+        nonlocal builds
+        builds += term == generic and term is not generic  # a build compiles a copy
+        return original(term, model)
+
+    monkeypatch.setattr(set_model, "compile_term", counting)
+    for term in corpus_terms()[:2]:
+        eval_set(dialogue_tree_int(term, NAT))
+    assert builds == 1
