@@ -1,7 +1,8 @@
 """Command-line surface: check, eval, tree, translate, modulus, umodulus, selftest.
 
 Exit codes: 0 on success, 1 on parse/type errors, bad oracles and terms too
-deep to evaluate, 2 on a selftest or verification failure or a usage error.
+deep for the 512 MiB stack a command runs on, 2 on a selftest or verification
+failure or a usage error.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import threading
 from dataclasses import asdict
 
 from . import church, harness, moduli
@@ -90,20 +92,16 @@ def cmd_umodulus(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    suites = [args.suite] if args.suite else list(harness.SUITE_IDS)
-    cfg = harness.GenConfig(seed=args.seed)
-    corpus = harness.corpus_terms()
+    scales = {
+        suite: (n if args.terms is None else args.terms, k if args.oracles is None else args.oracles)
+        for suite, (n, k) in SELFTEST_SCALES.items()
+        if args.suite in (None, suite)
+    }
     results = []
-    for suite in suites:
-        n_terms, n_oracles = SELFTEST_SCALES[suite]
-        if args.terms is not None:
-            n_terms = args.terms
-        if args.oracles is not None:
-            n_oracles = args.oracles
-        report = harness.run_suite(suite, cfg, n_terms, n_oracles, extra_terms=corpus)
+    for report in harness.run_suites(scales, harness.GenConfig(seed=args.seed), harness.corpus_terms()):
         results.append({**asdict(report), "passed": bool(report.cases) and report.passed})
         if not args.json:
-            print(report.summary() if report.cases else f"{suite}: 0 cases [FAILED: no case ran]")
+            print(report.summary() if report.cases else f"{report.suite}: 0 cases [FAILED: no case ran]")
             for failure in report.failures:
                 where = f" oracle {failure.oracle}" if failure.oracle else ""
                 term = f" term {failure.term}" if failure.term else ""
@@ -171,13 +169,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args, outcome: list) -> None:
     try:
-        return args.run(args)
+        outcome.append(args.run(args))
+    except BaseException as err:  # raised again on the calling thread
+        outcome.append(err)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)  # on this thread, so usage errors exit 2
+    outcome, limit, stack = [], sys.getrecursionlimit(), threading.stack_size(512 << 20)
+    sys.setrecursionlimit(10**6)  # a term recurses a few frames per node, so give it a big stack
+    try:
+        worker = threading.Thread(target=_run, args=(args, outcome), daemon=True)
+        worker.start()
+        worker.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+        return outcome[0]
     except (ParseError, TypeCheckError, UnboundVariable, TypeMismatch, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

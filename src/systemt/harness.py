@@ -14,10 +14,13 @@ external dialogue tree and its Church encoding, the compiled internal tree,
 the internal dialogue operator applied to the internal tree, and the
 tree-wide max question over answers 0 and 1.  A check builds the closed
 constants it applies, such as `moduli.modulus_int()`, at each use, so a test
-can swap in a faulty one; set_model compiles each once.  `run_suite` runs any
-row over terms x points and shrinks each failing term by re-running the same
-check on fresh views of every candidate.  lem36 observes generated trees, not
-terms, and so has no row and nothing to shrink.
+can swap in a faulty one; set_model compiles each once.  `run_suites` runs any
+rows in one pass over the terms: each term's views are built once and shared
+by every suite that checks it, and `run_suite` is its one-suite case.  A
+suite's `seconds` is the time spent in its own checks, including the views it
+was first to need.  A failing term is shrunk by re-running the same check on
+fresh views of every candidate.  lem36 observes generated trees, not terms,
+and so has no row and nothing to shrink.
 """
 
 from __future__ import annotations
@@ -437,41 +440,42 @@ _SUITES = {
 _UNIFORM = frozenset({"lem50", "lem54", "thm55"})
 
 
-def run_suite(
-    which: str,
-    cfg: GenConfig = GenConfig(),
-    n_terms: int = 100,
-    n_oracles: int = 20,
-    extra_terms=(),
-) -> Report:
-    """Run one property suite over generated inputs plus any extra terms.
-
-    For the tree-based suite (lem36) n_terms counts generated trees.  Failing
-    cases are recorded with a shrunk term and the oracle that witnessed them.
-    """
-    if which not in SUITE_IDS:
-        raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
-    started = time.perf_counter()
+def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Report]":
+    """Run the suites `scales` maps to (inputs, oracles per input) in one pass
+    over the terms and report in that order.  Each suite checks a prefix of one
+    oracle list and of one term list, extra terms first; lem36's are trees."""
+    for which in scales:
+        if which not in SUITE_IDS:
+            raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
+    n_oracles = max((k for _, k in scales.values()), default=0)
     oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
-    report = Report(suite=which, cases=0)
-    if which == "lem36":  # running a tree = the internal dialogue operator on its encoding
-        for i in range(n_terms):
+    reports = {which: Report(suite=which, cases=0) for which in scales}
+    if "lem36" in scales:  # running a tree = the internal dialogue operator on its encoding
+        started, (n_trees, k), report = time.perf_counter(), scales["lem36"], reports["lem36"]
+        for i in range(n_trees):
             d = gen_tree(replace(cfg, seed=_mix(cfg.seed, i)))
             internal = eval_set(church.dialogue_f_int())(church.encode(d, BAIRE_FN))
-            for alpha in oracles:
+            for alpha in oracles[:k]:
                 report.cases += 1
                 lhs, rhs = dialogue.dieval(d, alpha), internal(lift_oracle(alpha))
                 if lhs != rhs:
                     detail = f"dieval {lhs} != internal dialogue {rhs}"
                     report.failures.append(Failure(None, alpha.spec(), detail))
-    else:
-        check = _SUITES[which]
-        terms = list(extra_terms)
-        terms += [gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_terms)]
-        for i, term in enumerate(terms):
-            seed = _mix(cfg.seed, i)  # each term's probes draw from their own seed
-            views = _Views(term, seed)
-            for alpha in [None] if which in _UNIFORM else oracles:
+        report.seconds = time.perf_counter() - started
+    terms = list(extra_terms)
+    suites = [
+        (reports[which], _SUITES[which], len(terms) + n, [None] if which in _UNIFORM else oracles[:k])
+        for which, (n, k) in scales.items()
+        if which != "lem36"
+    ]
+    n_generated = max((n for which, (n, _) in scales.items() if which != "lem36"), default=0)
+    terms += [gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_generated)]
+    for i, term in enumerate(terms):
+        seed = _mix(cfg.seed, i)  # each term's probes draw from their own seed
+        views = _Views(term, seed)
+        for report, check, n_terms, points in suites:
+            started = time.perf_counter()
+            for alpha in points if i < n_terms else ():
                 report.cases += 1
                 detail = check(views, alpha)
                 if detail is not None:
@@ -480,5 +484,16 @@ def run_suite(
                     )
                     spec = None if alpha is None else alpha.spec()
                     report.failures.append(Failure(pretty(small), spec, detail))
-    report.seconds = time.perf_counter() - started
-    return report
+            report.seconds += time.perf_counter() - started
+    return list(reports.values())
+
+
+def run_suite(
+    which: str,
+    cfg: GenConfig = GenConfig(),
+    n_terms: int = 100,
+    n_oracles: int = 20,
+    extra_terms=(),
+) -> Report:
+    """Run one property suite over generated inputs plus any extra terms."""
+    return run_suites({which: (n_terms, n_oracles)}, cfg, extra_terms)[0]

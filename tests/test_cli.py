@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -7,6 +11,7 @@ from systemt import cli
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -100,29 +105,55 @@ def test_eval_negative_oracle_exits_1(capsys):
     assert "natural" in err
 
 
-#: Output on the literal 1000; None where the command still exits 1, because
-#: the translation recurses once per succ.
+#: Output on the literal 1000, which the translation recurses through once
+#: per succ.
 DEEP_LITERAL_OUT = {
     "check": "(nat -> nat) -> nat\n",
     "eval": "1000\n",
     "tree": "(leaf 1000)\n",
-    "modulus": None,
-    "umodulus": None,
+    "modulus": "1\n",
+    "umodulus": "1\n",
 }
 
 
 @pytest.mark.parametrize("command", list(DEEP_LITERAL_OUT))
 def test_deep_literal(tmp_path, capsys, command):
-    out = DEEP_LITERAL_OUT[command]
     f = tmp_path / "deep.t"
     f.write_text("fun (a : nat -> nat) -> 1000")
     extra = ["--oracle", "default=0"] if command in ("eval", "modulus") else []
-    code, got, err = run(capsys, command, str(f), *extra)
-    if out is None:
-        assert code == 1
-        assert "recursion" in err
-    else:
-        assert (code, got) == (0, out)
+    code, got, _ = run(capsys, command, str(f), *extra)
+    assert (code, got) == (0, DEEP_LITERAL_OUT[command])
+
+
+#: Deep terms, and the answers of eval and modulus at the all-zero oracle.
+DEEP_TERMS = {
+    "succ": ("succ (" * 2000 + "a 0" + ")" * 2000, "2000\n", "1\n"),
+    "app": ("a (" * 1000 + "0" + ")" * 1000, "0\n", "1\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(DEEP_TERMS))
+def test_deep_terms_answer_in_a_fresh_interpreter(tmp_path, kind):
+    # in a subprocess, so that a stack overflow shows as a signal, not a dead test run
+    from systemt.church import church_type
+    from systemt.syntax import NAT, format_ty
+
+    def cli_out(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "systemt.cli", *argv],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        )
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        return done.stdout
+
+    body, value, modulus = DEEP_TERMS[kind]
+    f, translated = tmp_path / "deep.t", tmp_path / "translated.t"
+    f.write_text("fun (a : nat -> nat) -> " + body)
+    assert cli_out("check", str(f)) == "(nat -> nat) -> nat\n"
+    assert cli_out("eval", str(f), "--oracle", "default=0") == value
+    assert cli_out("modulus", str(f), "--oracle", "default=0") == modulus
+    translated.write_text(cli_out("translate", str(f), "--motive", "nat"))
+    assert cli_out("check", str(translated)) == format_ty(church_type(NAT, NAT)) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -245,6 +276,25 @@ def test_selftest_suite_with_no_case_exits_2(capsys, flags):
     code, out, _ = run(capsys, "selftest", *flags)
     assert code == 2
     assert out == f"{flags[1]}: 0 cases [FAILED: no case ran]\n"
+
+
+def test_selftest_answers_a_term_lem44_recurses_deep_through(capsys):
+    # generated term 140 at seed 101 nests rec[nat] in rec[nat -> nat -> nat]:
+    # its internal modulus runs about 990 frames of compiled closures deep
+    code, out, err = run(capsys, "selftest", "--seed", "101", "--suite", "lem44", "--terms", "141")
+    assert (code, err) == (0, "")
+    assert out.startswith("lem44: 3020 cases,") and out.endswith("[ok]\n")
+
+
+def test_an_unexpected_error_is_raised_not_turned_into_an_exit_code(monkeypatch):
+    def broken(args):
+        raise AssertionError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    with pytest.raises(AssertionError, match="broken command"):
+        cli.main(["check", corpus("a4")])
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, stack)
 
 
 def test_selftest_failure_exits_2(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from systemt import church, dialogue, harness, moduli
@@ -12,6 +14,7 @@ from systemt.harness import (
     gen_oracle,
     gen_term,
     run_suite,
+    run_suites,
     shrink_term,
 )
 from systemt.set_model import NatV, eval_set
@@ -190,12 +193,16 @@ def test_corrupted_translation_is_caught_with_shrunk_witness(monkeypatch):
     assert infer(shrunk, ()) == BAIRE_FN
 
 
-def test_corrupted_generic_is_caught(monkeypatch):
+def _planted_generic_fault(monkeypatch):
     from systemt.dialogue import kleisli
 
     monkeypatch.setattr(
         dialogue, "generic", lambda tree: kleisli(lambda n: Branch(0, Leaf), tree)
     )
+
+
+def test_corrupted_generic_is_caught(monkeypatch):
+    _planted_generic_fault(monkeypatch)
     report = run_suite("thm16", GenConfig(seed=5), n_terms=20, n_oracles=5, extra_terms=corpus_terms())
     assert not report.passed
 
@@ -226,6 +233,48 @@ def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
     const7, a0 = seen[terms["const7"]], seen[terms["a0"]]
     assert len(const7) == len(a0)  # the same uniform modulus, so as many probes
     assert const7 != a0
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_one_pass_reports_what_separate_runs_report(monkeypatch, faulty):
+    if faulty:
+        _planted_generic_fault(monkeypatch)
+    cfg = GenConfig(seed=7)
+    scales = {suite: (3 + i % 3, 1 + i % 4) for i, suite in enumerate(SUITE_IDS)}
+    together = run_suites(scales, cfg, corpus_terms())
+    apart = [run_suite(suite, cfg, *scales[suite], extra_terms=corpus_terms()) for suite in SUITE_IDS]
+    assert [r.suite for r in together] == list(SUITE_IDS)
+    for one, alone in zip(together, apart):
+        assert (one.suite, one.cases, one.failures) == (alone.suite, alone.cases, alone.failures)
+    assert any(r.failures for r in together) == faulty
+
+
+def test_one_pass_builds_each_view_once_per_term(monkeypatch):
+    calls = Counter()
+    tree, tree_int = dialogue.dialogue_tree, church.dialogue_tree_int
+    monkeypatch.setattr(dialogue, "dialogue_tree", lambda t: calls.update([("tree", id(t))]) or tree(t))
+    monkeypatch.setattr(
+        church, "dialogue_tree_int", lambda t, m: calls.update([(m, id(t))]) or tree_int(t, m)
+    )
+    run_suites({suite: (4, 2) for suite in SUITE_IDS}, GenConfig(seed=3), corpus_terms())
+    n = len(corpus_terms()) + 4
+    assert set(calls.values()) == {1}
+    assert Counter(kind for kind, _ in calls) == {"tree": n, NAT: n, BAIRE_FN: n}
+
+
+def test_one_pass_gives_each_suite_its_own_scale():
+    scales = {"thm45": (0, 1), "lem36": (4, 3), "thm16": (3, 2), "lem50": (5, 0)}
+    reports = run_suites(scales, GenConfig(seed=2), corpus_terms())
+    n = len(corpus_terms())
+    assert [(r.suite, r.cases) for r in reports] == [
+        ("thm45", n), ("lem36", 12), ("thm16", (n + 3) * 2), ("lem50", n + 5)
+    ]
+    assert all(r.passed for r in reports)
+
+
+def test_run_suites_rejects_unknown_id():
+    with pytest.raises(ValueError, match="thm99"):
+        run_suites({"thm16": (1, 1), "thm99": (1, 1)})
 
 
 # -- shrinking --------------------------------------------------------------------
