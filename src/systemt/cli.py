@@ -14,7 +14,7 @@ import threading
 from dataclasses import asdict
 
 from . import church, harness, moduli
-from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, require_baire_fn, tree_sexpr
+from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, dieval, require_baire_fn, tree_sexpr
 from .set_model import apply_set, eval_set, lift_oracle
 from .syntax import App, NAT, ParseError, Term, TypeCheckError, UnboundVariable, format_ty, infer, parse, pretty, typecheck
 
@@ -49,7 +49,17 @@ def cmd_eval(args) -> int:
     term = _load_term(args.file)
     require_baire_fn(term)
     alpha = Oracle.from_spec(args.oracle)
-    print(apply_set(eval_set(term), lift_oracle(alpha)).value)
+    asked, path = [], []
+    oracle = harness.recording(alpha, asked) if args.trace else alpha
+    print(apply_set(eval_set(term), lift_oracle(oracle)).value)
+    if not args.trace:
+        return 0
+    dieval(dialogue_tree(term), harness.recording(alpha, path))
+    # the set model is call-by-value, so it may ask an index whose answer the
+    # tree path never needs, as in (fun (b : nat) -> 7) (a 9): a dead query
+    on_path = set(path)
+    print("asked:", ", ".join(str(i) if i in on_path else f"{i} (dead)" for i in asked) or "none")
+    print("path:", ", ".join(map(str, path)) or "none")
     return 0
 
 
@@ -134,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="apply a (nat -> nat) -> nat term to an oracle")
     p.add_argument("file")
     p.add_argument("--oracle", required=True, help='e.g. "5,6,7;default=1"')
+    p.add_argument("--trace", action="store_true", help="also print the indices asked and the tree path's queries")
     p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("tree", help="print the dialogue tree as an s-expression")

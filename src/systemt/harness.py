@@ -21,6 +21,15 @@ suite's `seconds` is the time spent in its own checks, including the views it
 was first to need.  A failing term is shrunk by re-running the same check on
 fresh views of every candidate.  lem36 observes generated trees, not terms,
 and so has no row and nothing to shrink.
+
+thm45 decides most cases by replay, reading Theorem 4.5 operationally as in
+effectful forcing: the compiled set-model value is deterministic and sees the
+oracle only through its answers, so if every index it asks at alpha is below
+the internal modulus m, every oracle agreeing with alpha on [0, m) replays
+the same run and gives the same value, and no sample could fail.  Only a case
+whose run asks an index at or past m draws agreeing oracles; a fault that
+makes m too small lands there.  A check returns `_REPLAYED` for a case it
+passed by replay, and the suite's report counts those in `replayed`.
 """
 
 from __future__ import annotations
@@ -239,6 +248,8 @@ class Report:
     cases: int
     failures: "list[Failure]" = field(default_factory=list)
     seconds: float = 0.0
+    #: cases decided by replaying a recorded run, without sampling
+    replayed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -246,7 +257,8 @@ class Report:
 
     def summary(self) -> str:
         state = "ok" if self.passed else f"{len(self.failures)} FAILED"
-        return f"{self.suite}: {self.cases} cases, {self.seconds:.1f}s [{state}]"
+        replayed = f" ({self.replayed} by replay)" if self.replayed else ""
+        return f"{self.suite}: {self.cases} cases{replayed}, {self.seconds:.1f}s [{state}]"
 
 
 def _shrink_candidates(term: Term, ctx=()):
@@ -374,11 +386,32 @@ def agreeing_oracle(alpha: Oracle, m: int, rng: random.Random) -> Oracle:
     return Oracle(prefix + (alpha.default,) * (m - len(prefix)) + tail, int(rand() * 11))
 
 
+def recording(alpha: Callable[[int], int], asked: "list[int]") -> Callable[[int], int]:
+    """alpha, appending each index it is asked to `asked`."""
+
+    def answer(i: int) -> int:
+        asked.append(i)
+        return alpha(i)
+
+    return answer
+
+
+#: What a check returns for a case it passed by replaying a recorded run.
+_REPLAYED = "replayed"
+
+
 def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
-    """Oracles agreeing with alpha below the internal modulus give its value."""
-    rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
+    """Oracles agreeing with alpha below the internal modulus m give its value.
+    The set-model value is deterministic and reads the oracle only by calling
+    it, so if its run at alpha asks only indices below m, every such oracle
+    answers each question alike, replays the run and gives the same value: the
+    case passes by replay.  Otherwise 50 agreeing oracles are sampled."""
     m = eval_set(moduli.modulus_int())(v.internal)(lift_oracle(alpha))
-    want = v.value_at(alpha)
+    asked: "list[int]" = []
+    want = v.value(lift_oracle(recording(alpha, asked)))
+    if max(asked, default=-1) < m:
+        return _REPLAYED
+    rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
     for _ in range(50):
         beta = agreeing_oracle(alpha, m, rng)
         got = v.value_at(beta)
@@ -478,9 +511,11 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
             for alpha in points if i < n_terms else ():
                 report.cases += 1
                 detail = check(views, alpha)
-                if detail is not None:
+                if detail is _REPLAYED:
+                    report.replayed += 1
+                elif detail is not None:
                     small = shrink_term(
-                        term, lambda t: check(_Views(t, seed), alpha) is not None
+                        term, lambda t: check(_Views(t, seed), alpha) not in (None, _REPLAYED)
                     )
                     spec = None if alpha is None else alpha.spec()
                     report.failures.append(Failure(pretty(small), spec, detail))

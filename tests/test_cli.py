@@ -74,6 +74,21 @@ def test_eval_applies_oracle(capsys):
     assert out == "1\n"  # a(a 2) = a(7) = default 1
 
 
+@pytest.mark.parametrize(
+    "text, out",
+    [
+        # call-by-value asks 9 for the discarded argument; the tree path asks nothing
+        ("fun (a : nat -> nat) -> (fun (b : nat) -> 7) (a 9)", "7\nasked: 9 (dead)\npath: none\n"),
+        ("fun (a : nat -> nat) -> a (a 2)", "1\nasked: 2, 7\npath: 2, 7\n"),
+    ],
+)
+def test_eval_trace_prints_asked_indices_and_tree_path(tmp_path, capsys, text, out):
+    f = tmp_path / "term.t"
+    f.write_text(text)
+    assert run(capsys, "eval", str(f), "--oracle", "5,6,7;default=1", "--trace") == (0, out, "")
+    assert run(capsys, "eval", str(f), "--oracle", "5,6,7;default=1") == (0, out.split("\n")[0] + "\n", "")
+
+
 def test_eval_requires_baire_functional(tmp_path, capsys):
     f = tmp_path / "id.t"
     f.write_text("fun (x : nat) -> x")
@@ -316,8 +331,18 @@ def test_selftest_json_reports_each_suite(capsys):
     assert report["passed"] is True
     [suite] = report["suites"]
     assert suite["suite"] == "thm16" and suite["cases"] == 26  # 10 corpus + 3 generated terms, 2 oracles
+    assert suite["replayed"] == 0
     assert suite["passed"] is True and suite["failures"] == []
     assert suite["seconds"] >= 0
+
+
+def test_selftest_counts_thm45_cases_decided_by_replay(capsys):
+    code, out, _ = run(capsys, "selftest", "--suite", "thm45", "--terms", "3", "--oracles", "2")
+    assert code == 0
+    assert out.startswith("thm45: 26 cases (26 by replay), ") and out.endswith("[ok]\n")
+    code, out, _ = run(capsys, "selftest", "--suite", "thm45", "--terms", "3", "--oracles", "2", "--json")
+    [suite] = json.loads(out)["suites"]
+    assert (code, suite["cases"], suite["replayed"]) == (0, 26, 26)
 
 
 def test_selftest_json_lists_failures_and_exits_2(capsys, monkeypatch):

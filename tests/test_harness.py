@@ -235,6 +235,38 @@ def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
     assert const7 != a0
 
 
+def _thm45_draws(monkeypatch, term):
+    """Run thm45 on one term at 10 oracles; return the report and the agreeing oracles drawn."""
+    draws = []
+    original = harness.agreeing_oracle
+    monkeypatch.setattr(harness, "agreeing_oracle", lambda *args: draws.append(args) or original(*args))
+    return run_suite("thm45", GenConfig(seed=0), n_terms=0, n_oracles=10, extra_terms=[term]), draws
+
+
+def test_thm45_decides_a_corpus_term_by_replay(monkeypatch):
+    terms = dict(zip((name for name, _ in CORPUS), corpus_terms()))
+    report, draws = _thm45_draws(monkeypatch, terms["a4"])
+    assert (report.cases, report.replayed, report.failures, draws) == (10, 10, [], [])
+
+
+def test_thm45_samples_a_dead_query(monkeypatch):
+    # the set model asks index 9 for the discarded argument; the tree path asks
+    # nothing and the modulus is 1, so the record cannot decide the case
+    term = typecheck(parse("fun (a : nat -> nat) -> (fun (b : nat) -> 7) (a 9)"))
+    report, draws = _thm45_draws(monkeypatch, term)
+    assert (report.cases, report.replayed, report.failures) == (10, 0, [])
+    assert len(draws) == 10 * 50 and {m for _, m, _ in draws} == {1}
+    assert report.summary().startswith("thm45: 10 cases, ")
+
+
+def test_thm45_catches_a_modulus_one_too_small(monkeypatch):
+    # max question = modulus - 1: its runs ask an index at m, so they are sampled
+    monkeypatch.setattr(moduli, "modulus_int", moduli.max_question_int)
+    report = run_suite("thm45", GenConfig(seed=0), n_terms=30, n_oracles=5, extra_terms=corpus_terms())
+    assert (report.cases, len(report.failures), report.replayed) == (200, 75, 125)
+    assert all("not respected" in failure.detail for failure in report.failures)
+
+
 @pytest.mark.parametrize("faulty", [False, True])
 def test_one_pass_reports_what_separate_runs_report(monkeypatch, faulty):
     if faulty:
@@ -245,7 +277,9 @@ def test_one_pass_reports_what_separate_runs_report(monkeypatch, faulty):
     apart = [run_suite(suite, cfg, *scales[suite], extra_terms=corpus_terms()) for suite in SUITE_IDS]
     assert [r.suite for r in together] == list(SUITE_IDS)
     for one, alone in zip(together, apart):
-        assert (one.suite, one.cases, one.failures) == (alone.suite, alone.cases, alone.failures)
+        assert (one.suite, one.cases, one.replayed, one.failures) == (
+            alone.suite, alone.cases, alone.replayed, alone.failures
+        )
     assert any(r.failures for r in together) == faulty
 
 
