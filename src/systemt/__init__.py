@@ -1,66 +1,1 @@
 """System T toolkit: dialogue trees, Church-encoded extraction, moduli of continuity."""
-
-from .church import (
-    church_type,
-    dialogue_f_int,
-    dialogue_tree_int,
-    encode,
-    generic_int,
-    gkleisli_int,
-    kleisli_int,
-    leaf_int,
-    branch_int,
-    functor_int,
-    translate,
-    translate_type,
-)
-from .dialogue import (
-    BAIRE_FN,
-    Branch,
-    DTree,
-    Leaf,
-    Oracle,
-    TypeMismatch,
-    dialogue_tree,
-    dieval,
-    eval_dial,
-    functor_map,
-    generic,
-    gkleisli,
-    kleisli,
-    tree_sexpr,
-)
-from .harness import GenConfig, Report, corpus_terms, gen_oracle, gen_term, run_suite
-from .moduli import (
-    max_bool_question,
-    max_bool_question_int,
-    max_question,
-    max_question_int,
-    max_term,
-    modulus,
-    modulus_int,
-    modulus_uni,
-    modulus_uni_int,
-    prune,
-)
-from .set_model import NatV, apply_set, eval_set, lift_oracle
-from .syntax import (
-    NAT,
-    App,
-    Arrow,
-    Lam,
-    Nat,
-    Rec,
-    Succ,
-    Term,
-    Ty,
-    Var,
-    Zero,
-    arrow,
-    format_ty,
-    infer,
-    numeral,
-    parse,
-    pretty,
-    typecheck,
-)

@@ -35,7 +35,7 @@ _MOTIVES = {"nat": NAT, "baire": BAIRE_FN}
 
 
 def _load_term(path: str) -> Term:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not a token
         return typecheck(parse(handle.read()))
 
 

@@ -150,9 +150,9 @@ TREE_MODEL = Model(
 )
 
 
-def eval_dial(term: Term, env=()) -> DialValue:
-    """Evaluate a well-typed term in the tree model."""
-    return compile_term(term, TREE_MODEL)(tuple(env))
+def eval_dial(term: Term) -> DialValue:
+    """Evaluate a closed, well-typed term in the tree model."""
+    return compile_term(term, TREE_MODEL)(())
 
 
 def require_baire_fn(term: Term) -> None:

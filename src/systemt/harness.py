@@ -178,9 +178,9 @@ def gen_oracle(cfg: GenConfig) -> Oracle:
     return Oracle(prefix, rng.randint(0, 10))
 
 
-def gen_tree(cfg: GenConfig, depth: int = 4) -> DTree:
-    """A finite random tree; children vary over a few answers, then repeat."""
-    return _gen_tree(random.Random(cfg.seed), depth)
+def gen_tree(cfg: GenConfig) -> DTree:
+    """A random tree of depth at most 4; children vary over a few answers, then repeat."""
+    return _gen_tree(random.Random(cfg.seed), 4)
 
 
 def _gen_tree(rng: random.Random, depth: int) -> DTree:

@@ -10,7 +10,8 @@ only at the ground type, so a `Model` record holds just the four things that
 touch it.  In both models a function value is a plain Python callable, and no
 ground value is callable, so compiled closures pass ground values unboxed: a
 plain `int` here, a bare `DTree` in the tree model.  `NatV` boxes naturals only
-at the public boundary, `eval_set` and `apply_set`.
+at the public boundary: `eval_set` returns one for a closed term of type nat,
+and `apply_set` takes a `NatV` or an `int` and returns a `NatV` at ground.
 """
 
 from __future__ import annotations
@@ -97,12 +98,9 @@ SET_MODEL = Model(
 )
 
 
-def eval_set(term: Term, env=()) -> Union[NatV, Callable]:
-    """Evaluate a well-typed term in an environment for its context (NatV or int at ground)."""
-    env = tuple(
-        v if callable(v) else _natural(v.value if isinstance(v, NatV) else v) for v in env
-    )
-    out = compile_term(term, SET_MODEL)(env)
+def eval_set(term: Term) -> Union[NatV, Callable]:
+    """Evaluate a closed, well-typed term (a NatV at ground)."""
+    out = compile_term(term, SET_MODEL)(())
     return out if callable(out) else natv(out)
 
 

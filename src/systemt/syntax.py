@@ -131,15 +131,6 @@ def numeral(n: int) -> Term:
     return t
 
 
-def numeral_value(term: Term) -> Optional[int]:
-    """Inverse of numeral(); None if term is not a literal numeral."""
-    n = 0
-    while isinstance(term, Succ):
-        n += 1
-        term = term.arg
-    return n if isinstance(term, Zero) else None
-
-
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------
@@ -396,9 +387,16 @@ def infer(term: Term, ctx=()) -> Ty:
 
 def occurs_free(term: Term, index: int) -> bool:
     """Does de Bruijn index `index` occur free in term?"""
-    if isinstance(term, Var):
-        return term.index == index
-    return any(occurs_free(getattr(term, name), index + bound) for name, bound in SUBTERMS[type(term)])
+    # a loop over a stack, not recursion, so a deep term costs no frame per node
+    stack = [(term, index)]
+    while stack:
+        term, index = stack.pop()
+        if isinstance(term, Var):
+            if term.index == index:
+                return True
+        else:
+            stack.extend((getattr(term, name), index + bound) for name, bound in SUBTERMS[type(term)])
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -413,46 +411,57 @@ def _binder_name(depth: int) -> str:
     return _LETTERS[r] + (str(q) if q else "")
 
 
-def pretty(term: Term, free_names=()) -> str:
-    """Deterministic surface syntax; parse(pretty(t)) == t for closed t.
+def pretty(term: Term) -> str:
+    """Deterministic surface syntax of a closed term; parse(pretty(t)) == t.
 
     Binder names are chosen by depth, numerals are re-sugared, and anything
     that is not an atom is parenthesized in argument position.
     """
-    return _pp_term(term, tuple(free_names))
+    out: "list[str]" = []
+    _pp(term, [], False, out)
+    return "".join(out)
 
 
-def _pp_term(t: Term, names) -> str:
-    if isinstance(t, Lam):
-        name = _binder_name(len(names))
-        body = _pp_term(t.body, (name,) + names)
-        return f"fun ({name} : {format_ty(t.domain)}) -> {body}"
-    return _pp_app(t, names)
-
-
-def _pp_app(t: Term, names) -> str:
-    n = numeral_value(t)
-    if n is not None:
-        return "zero" if n == 0 else str(n)
-    if isinstance(t, App):
-        head = _pp_app(t.fn, names) if isinstance(t.fn, App) else _pp_atom(t.fn, names)
-        return f"{head} {_pp_atom(t.arg, names)}"
-    if isinstance(t, Succ):
-        return f"succ {_pp_atom(t.arg, names)}"
-    if isinstance(t, Rec):
-        return (
-            f"rec[{format_ty(t.motive)}] {_pp_atom(t.step, names)}"
-            f" {_pp_atom(t.base, names)} {_pp_atom(t.arg, names)}"
-        )
-    return _pp_atom(t, names)
-
-
-def _pp_atom(t: Term, names) -> str:
-    n = numeral_value(t)
-    if n is not None:
-        return "zero" if n == 0 else str(n)
+def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
+    """Append t's text to out, parenthesized if atom is set and t is no atom.
+    names holds the binders around t, innermost last; each piece is written
+    once, so printing takes time linear in the text."""
     if isinstance(t, Var):
         if t.index >= len(names):
             raise ValueError(f"free index {t.index} has no name")
-        return names[t.index]
-    return f"({_pp_term(t, names)})"
+        out.append(names[-1 - t.index])
+        return
+    k, core = 0, t
+    while isinstance(core, Succ):  # one walk per successor chain
+        k, core = k + 1, core.arg
+    if isinstance(core, Zero):
+        out.append(str(k) if k else "zero")
+        return
+    if atom:
+        out.append("(")
+    if k:
+        out.append("succ " + "(succ " * (k - 1))
+        _pp(core, names, True, out)
+        out.append(")" * (k - 1))
+    elif isinstance(t, Lam):
+        name = _binder_name(len(names))
+        out.append(f"fun ({name} : {format_ty(t.domain)}) -> ")
+        names.append(name)
+        _pp(t.body, names, False, out)
+        names.pop()
+    elif isinstance(t, App):
+        args = []
+        while isinstance(t, App):  # the spine f a b ... in a loop
+            args.append(t.arg)
+            t = t.fn
+        _pp(t, names, True, out)
+        for arg in reversed(args):
+            out.append(" ")
+            _pp(arg, names, True, out)
+    else:
+        out.append(f"rec[{format_ty(t.motive)}]")
+        for sub in (t.step, t.base, t.arg):
+            out.append(" ")
+            _pp(sub, names, True, out)
+    if atom:
+        out.append(")")

@@ -337,7 +337,7 @@ def test_encode_commutes_with_kleisli(motive):
     kv = eval_set(kleisli_int(motive))
     rng = random.Random(7)
     for seed in range(8):
-        d = gen_tree(GenConfig(seed=seed), depth=3)
+        d = gen_tree(GenConfig(seed=seed))
         lhs = encode(kleisli(graft, d), motive)
         rhs = apply_set(apply_set(kv, eval_set(graft_term)), encode(d, motive))
         _assert_trees_agree(lhs, rhs, motive, rng)
@@ -350,7 +350,7 @@ def test_encode_commutes_with_functor(motive):
     fv = eval_set(functor_int(motive))
     rng = random.Random(11)
     for seed in range(8):
-        d = gen_tree(GenConfig(seed=seed), depth=3)
+        d = gen_tree(GenConfig(seed=seed))
         lhs = encode(functor_map(shiftfn, d), motive)
         rhs = apply_set(apply_set(fv, eval_set(shift_term)), encode(d, motive))
         _assert_trees_agree(lhs, rhs, motive, rng)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,13 @@ def test_check_accepts_a_name_mixing_ascii_and_unicode_letters(tmp_path, capsys)
     good.write_text("fun (\u00e9a : nat) -> \u00e9a", encoding="utf-8")
     code, out, err = run(capsys, "check", str(good))
     assert (code, out, err) == (0, "nat -> nat\n", "")
+
+
+def test_a_term_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    f = tmp_path / "a4.t"
+    f.write_bytes(b"\xef\xbb\xbf" + Path(corpus("a4")).read_bytes())
+    assert run(capsys, "check", str(f)) == (0, "(nat -> nat) -> nat\n", "")
+    assert run(capsys, "eval", str(f), "--oracle", "0,1,2,3,9;default=0") == (0, "9\n", "")
 
 
 def test_check_missing_file_exits_1(capsys):
@@ -169,6 +177,30 @@ def test_deep_terms_answer_in_a_fresh_interpreter(tmp_path, kind):
     assert cli_out("modulus", str(f), "--oracle", "default=0") == modulus
     translated.write_text(cli_out("translate", str(f), "--motive", "nat"))
     assert cli_out("check", str(translated)) == format_ty(church_type(NAT, NAT)) + "\n"
+
+
+def test_translate_prints_a_deep_successor_chain_in_linear_time(tmp_path, capsys):
+    def translated(n):
+        f = tmp_path / f"succ{n}.t"
+        f.write_text("fun (a : nat -> nat) -> " + "succ (" * n + "a 0" + ")" * n)
+        code, out, err = run(capsys, "translate", str(f), "--motive", "nat")
+        assert (code, err) == (0, "")
+        return out
+
+    # every succ adds one piece at one binder depth, before the translation of
+    # a 0, and one parenthesis to the run closing it
+    one, two = translated(1), translated(2)
+    start = one.index(" (a (")
+    piece, close = two[start:two.index(" (a (")], one.index(") (", start)
+
+    def expected(n):
+        return one[:start] + piece * (n - 1) + one[start:close] + ")" * (n - 1) + one[close:]
+
+    assert (expected(2), expected(3)) == (two, translated(3))
+    started = time.perf_counter()
+    deep = translated(20000)
+    assert time.perf_counter() - started < 10
+    assert deep == expected(20000)
 
 
 @pytest.mark.parametrize(

@@ -37,8 +37,8 @@ from systemt.syntax import (
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
 
 
-def ev(src, env=()):
-    return eval_set(typecheck(parse(src)), env)
+def ev(src):
+    return eval_set(typecheck(parse(src)))
 
 
 # -- evaluation clauses -------------------------------------------------------
@@ -87,7 +87,7 @@ def test_weakening_closed_term_ignores_environment():
     t = typecheck(parse("fun (a : nat -> nat) -> a 3"))
     plain = apply_set(eval_set(t), lift_oracle(lambda i: 2 * i))
     noisy = apply_set(
-        eval_set(t, env=(natv(9), lift_oracle(lambda i: i))),
+        compile_term(t, SET_MODEL)((9, lift_oracle(lambda i: i))),
         lift_oracle(lambda i: 2 * i),
     )
     assert plain == noisy
@@ -98,17 +98,18 @@ def test_ground_values_cross_the_boundary_as_natv_or_int():
     for arg in [NatV(3), 3]:
         assert apply_set(succ, arg) == NatV(4)
     assert apply_set(succ, 5000) == NatV(5001)
+    # a term in a context is closed under binders for it, then applied to its values
     t = typecheck(parse("fun (a : nat -> nat) -> a 3"))
-    for env in [(natv(9),), (9,)]:
-        out = eval_set(Succ(Var(0)), env)
+    weakened = eval_set(Lam(Arrow(NAT, NAT), Lam(NAT, t)))
+    for arg in [natv(9), 9]:
+        out = apply_set(eval_set(Lam(NAT, Succ(Var(0)))), arg)
         assert isinstance(out, NatV) and out == NatV(10)
-        assert apply_set(eval_set(t, env=env + (lift_oracle(lambda i: i),)), lift_oracle(lambda i: 2 * i)) == NatV(6)
+        within = apply_set(apply_set(weakened, lift_oracle(lambda i: i)), arg)
+        assert apply_set(within, lift_oracle(lambda i: 2 * i)) == NatV(6)
     # a negative natural is refused at the boundary, boxed or not
     for bad in [-1, NatV(-1)]:
         with pytest.raises(ValueError):
             apply_set(succ, bad)
-        with pytest.raises(ValueError):
-            eval_set(Succ(Var(0)), (bad,))
 
 
 def test_caller_built_function_values_receive_plain_ints():

@@ -21,7 +21,7 @@ from systemt.syntax import (
     format_ty,
     infer,
     numeral,
-    numeral_value,
+    occurs_free,
     parse,
     pretty,
     typecheck,
@@ -250,7 +250,16 @@ def test_numeral_has_n_successors(n):
         t = t.arg
     assert isinstance(t, Zero)
     assert count == n
-    assert numeral_value(numeral(n)) == n
+    assert pretty(numeral(n)) == (str(n) if n else "zero")
+
+
+def test_occurs_free_answers_on_a_deep_term_at_the_default_recursion_limit():
+    # the compiler asks it of every rec step body, so it must not recurse per node
+    t = Var(1)
+    for _ in range(100_000):
+        t = Succ(t)
+    assert occurs_free(Lam(NAT, t), 0)
+    assert not occurs_free(t, 0)
 
 
 # -- substitution -----------------------------------------------------------
@@ -324,9 +333,9 @@ def test_substitute_under_binder_shifts():
     out = substitute(t, {0: numeral(2)})
     assert out == Lam(NAT, numeral(2))
     # cross-check by evaluating both sides at sampled arguments
-    from systemt.set_model import apply_set, eval_set, natv
+    from systemt.set_model import SET_MODEL, apply_set, compile_term, eval_set, natv
 
-    before = eval_set(t, env=(natv(2),))
+    before = compile_term(t, SET_MODEL)((2,))
     after = eval_set(out)
     for arg in (0, 3, 11):
         assert apply_set(before, natv(arg)) == apply_set(after, natv(arg))
@@ -350,7 +359,7 @@ def test_shift_respects_cutoff():
 def test_pretty_zero_and_numerals():
     assert pretty(Zero()) == "zero"
     assert pretty(numeral(2)) == "2"
-    assert pretty(Succ(App(Var(0), Zero()), ), free_names=("a",)) == "succ (a zero)"
+    assert pretty(Lam(Arrow(NAT, NAT), Succ(App(Var(0), Zero())))) == "fun (a : nat -> nat) -> succ (a zero)"
 
 
 def test_pretty_lambda_roundtrip_shape():
