@@ -7,7 +7,7 @@ naturals stay finite objects; materialization happens only when printing.
 
 The tree model is the record `TREE_MODEL` for the staged compiler in
 `set_model`, which serves both models: only the ground type differs.  Its
-ground values are bare trees, and its function values plain Python callables.
+ground values are `Graft`s, and its function values plain Python callables.
 """
 
 from __future__ import annotations
@@ -72,31 +72,26 @@ class Oracle:
 
     @classmethod
     def from_spec(cls, text: str) -> "Oracle":
-        head, default = _split_spec(text)
-        try:
-            prefix = tuple(int(part) for part in head)
-            default = int(default)
-        except ValueError:
-            raise ValueError(f"bad oracle spec {text!r}") from None
-        return cls(prefix, default)
-
-
-def _split_spec(text: str):
-    body = text.strip()
-    if ";" in body:
-        head, _, tail = body.partition(";")
-    else:
-        head, tail = ("", body) if "default=" in body else (body, "")
-    tail = tail.strip()
-    if not tail.startswith("default="):
-        raise ValueError(f"bad oracle spec {text!r}: missing default=")
-    # an empty entry stays, so int() refuses it: dropping it would shift the rest
-    entries = [part.strip() for part in head.split(",")] if head.strip() else []
-    return entries, tail[len("default="):].strip()
+        body = text.strip()
+        if ";" in body:
+            head, _, tail = body.partition(";")
+        else:
+            head, tail = ("", body) if "default=" in body else (body, "")
+        tail = tail.strip()
+        if not tail.startswith("default="):
+            raise ValueError(f"bad oracle spec {text!r}: missing default=")
+        # an empty entry stays, so it is refused: dropping it would shift the rest
+        entries = [part.strip() for part in head.split(",")] if head.strip() else []
+        parts = [*entries, tail[len("default="):].strip()]
+        # int() also reads "1_0", "+5" and non-ASCII digits, which no term may spell
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"bad oracle spec {text!r}: entries must be naturals in decimal digits")
+        *prefix, default = map(int, parts)
+        return cls(tuple(prefix), default)
 
 
 # ---------------------------------------------------------------------------
-# The dialogue operator and monad structure
+# The dialogue operator and the tree model
 # ---------------------------------------------------------------------------
 
 
@@ -107,46 +102,48 @@ def dieval(tree: DTree, answers) -> int:
     return tree.value
 
 
-def kleisli(fn: Callable[[int], DTree], tree: DTree) -> DTree:
-    """Graft fn onto every leaf, keeping branch nodes in place."""
-    if isinstance(tree, Leaf):
-        return fn(tree.value)
-    children = tree.children
-    return Branch(tree.query, lambda a: kleisli(fn, children(a)))
+class Graft:
+    """A tree-model natural: its Church-encoded query tree with the branch
+    handler fixed to `Branch`; run(k) grafts k : int -> DTree onto every leaf.
+    leaf is the value of a tree that is one leaf, else None.  Not callable, so
+    compiled closures tell it from a function value."""
+
+    __slots__ = ("run", "leaf")
+
+    def __init__(self, run: Callable[[Callable[[int], DTree]], DTree], leaf: "int | None" = None):
+        self.run, self.leaf = run, leaf
 
 
-def functor_map(fn: Callable[[int], int], tree: DTree) -> DTree:
-    return kleisli(lambda n: Leaf(fn(n)), tree)
+DialValue = Union[Graft, Callable]
 
 
-def generic(tree: DTree) -> DTree:
-    """Insert a query node at every leaf: the tree-model oracle argument."""
-    return kleisli(lambda n: Branch(n, Leaf), tree)
-
-
-# ---------------------------------------------------------------------------
-# The tree model
-# ---------------------------------------------------------------------------
-
-
-DialValue = Union[DTree, Callable]
-
-
-def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: DTree) -> DialValue:
-    """Kleisli extension lifted pointwise through arrow types."""
+def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: Graft) -> DialValue:
+    """Kleisli extension lifted pointwise through arrow types: O(1) at ground."""
     if ty == NAT:
-        return kleisli(fn, tree)
+        if tree.leaf is not None:  # eager on a leaf, so pure arithmetic nests no closures
+            return fn(tree.leaf)
+        # a leaf result feeds k at once, so running a chain of binds costs a frame per bind
+        return Graft(lambda k: tree.run(lambda n: k(m.leaf) if (m := fn(n)).leaf is not None else m.run(k)))
     cod = ty.codomain
     return lambda s: gkleisli(cod, lambda n: fn(n)(s), tree)
+
+
+def generic(tree: Graft) -> Graft:
+    """Ask the oracle at every leaf: the tree-model oracle argument."""
+    return gkleisli(NAT, lambda n: Graft(lambda k: Branch(n, k)), tree)
+
+
+def _nat(n: int) -> Graft:
+    return Graft(lambda k: k(n), n)
 
 
 #: The tree model: a natural is the tree of queries that computes it, and the
 #: recursor is grafted onto every leaf of its scrutinee's tree.
 TREE_MODEL = Model(
-    nat=Leaf,
-    plus=lambda corec, k: lambda env: functor_map(lambda n: n + k, corec(env)),
+    nat=_nat,
+    plus=lambda corec, k: lambda env: gkleisli(NAT, lambda n: _nat(n + k), corec(env)),
     rec=lambda motive, argc, iterate: lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env)),
-    indices=lambda n: map(Leaf, range(n)),
+    indices=lambda n: map(_nat, range(n)),
 )
 
 
@@ -165,7 +162,7 @@ def require_baire_fn(term: Term) -> None:
 def dialogue_tree(term: Term) -> DTree:
     """The tree of queries a closed term of type (nat -> nat) -> nat performs."""
     require_baire_fn(term)
-    return eval_dial(term)(generic)
+    return eval_dial(term)(generic).run(Leaf)
 
 
 # ---------------------------------------------------------------------------

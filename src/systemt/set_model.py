@@ -9,7 +9,7 @@ values are dialogue trees.  Following effectful forcing, the two models differ
 only at the ground type, so a `Model` record holds just the four things that
 touch it.  In both models a function value is a plain Python callable, and no
 ground value is callable, so compiled closures pass ground values unboxed: a
-plain `int` here, a bare `DTree` in the tree model.  `NatV` boxes naturals only
+plain `int` here, a `Graft` in the tree model.  `NatV` boxes naturals only
 at the public boundary: `eval_set` returns one for a closed term of type nat,
 and `apply_set` takes a `NatV` or an `int` and returns a `NatV` at ground.
 """

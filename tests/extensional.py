@@ -1,17 +1,48 @@
-"""Extensional comparison of higher-type set-model values, for the tests.
+"""Extensional comparison of higher-type set-model values, for the tests,
+and the inductive tree monad they check the tree model against.
 
 Equality at higher types is undecidable, so values are compared only at
 definable observation points: sampled naturals (`hee_check`), definable
 probes (`values_agree`), and leaf/branch handler pairs that fold encoded
-trees (`handler_battery`).
+trees (`handler_battery`).  `kleisli` and `functor_map` rebuild a `DTree`
+branch by branch, the textbook free-monad bind; the tree model binds its
+Church-encoded naturals instead, so these are its independent reference.
 """
 
 import random
+from typing import Callable
 
-from systemt.dialogue import BAIRE_FN, Oracle
+from systemt.dialogue import BAIRE_FN, Branch, DTree, Graft, Leaf, Oracle
 from systemt.harness import GenConfig, gen_term
 from systemt.set_model import SetValue, apply_set, eval_set, lift_oracle, natv
 from systemt.syntax import NAT, Arrow, Ty, parse, typecheck
+
+# ---------------------------------------------------------------------------
+# The inductive tree monad
+# ---------------------------------------------------------------------------
+
+
+def kleisli(fn: Callable[[int], DTree], tree: DTree) -> DTree:
+    """Graft fn onto every leaf, keeping branch nodes in place."""
+    if isinstance(tree, Leaf):
+        return fn(tree.value)
+    children = tree.children
+    return Branch(tree.query, lambda a: kleisli(fn, children(a)))
+
+
+def functor_map(fn: Callable[[int], int], tree: DTree) -> DTree:
+    return kleisli(lambda n: Leaf(fn(n)), tree)
+
+
+def generic(tree: DTree) -> DTree:
+    """Insert a query node at every leaf."""
+    return kleisli(lambda n: Branch(n, Leaf), tree)
+
+
+def graft_of(tree: DTree) -> Graft:
+    """The tree-model natural whose tree is `tree`, grafting by `kleisli`."""
+    return Graft(lambda k: kleisli(k, tree))
+
 
 # ---------------------------------------------------------------------------
 # Sampled hereditarily extensional equality

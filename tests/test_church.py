@@ -20,14 +20,14 @@ from systemt.church import (
 )
 from systemt.dialogue import (
     BAIRE_FN,
+    TREE_MODEL,
     Branch,
     Leaf,
     Oracle,
     TypeMismatch,
     dialogue_tree,
     dieval,
-    functor_map,
-    kleisli,
+    gkleisli,
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
 from systemt.moduli import max_bool_question_int, max_question_int, max_term, modulus_int, modulus_uni_int
@@ -52,7 +52,7 @@ from systemt.syntax import (
     typecheck,
 )
 
-from extensional import handler_battery, values_agree
+from extensional import functor_map, graft_of, handler_battery, kleisli, values_agree
 from test_syntax import shift
 
 MOTIVES = [NAT, Arrow(NAT, NAT), BAIRE_FN]
@@ -141,15 +141,13 @@ def test_gkleisli_int_matches_external_through_encode():
     )
     internal = apply_set(apply_set(eval_set(g), eval_set(fn_term)), encode(d, NAT))
 
-    from systemt.dialogue import gkleisli
-
     external = gkleisli(
         Arrow(NAT, NAT),
-        lambda n: lambda s: functor_map(lambda x: x + n, s),
-        d,
+        lambda n: lambda s: gkleisli(NAT, lambda x: TREE_MODEL.nat(x + n), s),
+        graft_of(d),
     )
     probe_tree = Branch(0, lambda y: Leaf(y))
-    ext_tree = external(probe_tree)
+    ext_tree = external(graft_of(probe_tree)).run(Leaf)
     int_val = apply_set(internal, encode(probe_tree, NAT))
     for alpha in [Oracle((3, 1), 0), Oracle((), 2)]:
         want = dieval(ext_tree, alpha)

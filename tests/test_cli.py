@@ -121,6 +121,18 @@ def test_eval_empty_oracle_entry_exits_1(tmp_path, capsys, spec):
     assert "bad oracle spec" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["1_0;default=2", "+5;default=1", "\u0663;default=1", "1;default=1_0", "default=+1", "default=\u0663"]
+)
+def test_eval_oracle_entries_are_ascii_decimal_digits(tmp_path, capsys, spec):
+    # int() reads all of these; the term syntax reads none, so neither may an oracle
+    f = tmp_path / "a0.t"
+    f.write_text("fun (a : nat -> nat) -> a 0")
+    code, out, err = run(capsys, "eval", str(f), "--oracle", spec)
+    assert (code, out) == (1, "")
+    assert "bad oracle spec" in err
+
+
 def test_eval_negative_oracle_exits_1(capsys):
     code, out, err = run(capsys, "eval", corpus("a4"), "--oracle", "default=-1")
     assert code == 1
@@ -177,6 +189,20 @@ def test_deep_terms_answer_in_a_fresh_interpreter(tmp_path, kind):
     assert cli_out("modulus", str(f), "--oracle", "default=0") == modulus
     translated.write_text(cli_out("translate", str(f), "--motive", "nat"))
     assert cli_out("check", str(translated)) == format_ty(church_type(NAT, NAT)) + "\n"
+
+
+def test_eval_trace_and_tree_answer_on_a_deep_query_chain(tmp_path, capsys):
+    # 1600 nested queries, each grafted onto the tree of the ones inside it
+    depth = 1600
+    f = tmp_path / "chain.t"
+    f.write_text("fun (a : nat -> nat) -> " + "a (" * depth + "0" + ")" * depth)
+    zeros = ", ".join(["0"] * depth)
+    trace = f"0\nasked: {zeros}\npath: {zeros}\n"
+    assert run(capsys, "eval", str(f), "--oracle", "default=0", "--trace") == (0, trace, "")
+    code, out, err = run(capsys, "tree", str(f), "--depth", "3")
+    cut = "(branch 0 (0 (...)) (1 (...)))"
+    level2 = f"(branch 0 (0 {cut}) (1 (branch 1 (0 (...)) (1 (...)))))"
+    assert (code, err) == (0, "") and out.startswith(f"(branch 0 (0 {level2}) (1 ")
 
 
 def test_translate_prints_a_deep_successor_chain_in_linear_time(tmp_path, capsys):
@@ -346,10 +372,12 @@ def test_an_unexpected_error_is_raised_not_turned_into_an_exit_code(monkeypatch)
 
 def test_selftest_failure_exits_2(capsys, monkeypatch):
     from systemt import dialogue
-    from systemt.dialogue import Branch, Leaf, kleisli
+    from systemt.dialogue import Branch, Graft, gkleisli
+    from systemt.syntax import NAT
 
+    # the oracle argument asks index 0, whatever index it was given
     monkeypatch.setattr(
-        dialogue, "generic", lambda tree: kleisli(lambda n: Branch(0, Leaf), tree)
+        dialogue, "generic", lambda tree: gkleisli(NAT, lambda n: Graft(lambda k: Branch(0, k)), tree)
     )
     code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "5", "--oracles", "2")
     assert code == 2
@@ -379,10 +407,12 @@ def test_selftest_counts_thm45_cases_decided_by_replay(capsys):
 
 def test_selftest_json_lists_failures_and_exits_2(capsys, monkeypatch):
     from systemt import dialogue
-    from systemt.dialogue import Branch, Leaf, kleisli
+    from systemt.dialogue import Branch, Graft, gkleisli
+    from systemt.syntax import NAT
 
+    # the oracle argument asks index 0, whatever index it was given
     monkeypatch.setattr(
-        dialogue, "generic", lambda tree: kleisli(lambda n: Branch(0, Leaf), tree)
+        dialogue, "generic", lambda tree: gkleisli(NAT, lambda n: Graft(lambda k: Branch(0, k)), tree)
     )
     code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "5", "--oracles", "2", "--json")
     assert code == 2

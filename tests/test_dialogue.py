@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extensional import functor_map, generic as reference_generic, graft_of, kleisli
 from systemt.dialogue import (
     BAIRE_FN,
+    TREE_MODEL,
     Branch,
     Leaf,
     Oracle,
@@ -10,10 +14,8 @@ from systemt.dialogue import (
     dialogue_tree,
     dieval,
     eval_dial,
-    functor_map,
     generic,
     gkleisli,
-    kleisli,
     tree_sexpr,
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
@@ -21,6 +23,7 @@ from systemt.set_model import apply_set, eval_set, lift_oracle
 from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, numeral, parse, typecheck
 
 identity = lambda i: i
+nat = TREE_MODEL.nat
 
 
 def term(src):
@@ -146,49 +149,59 @@ def test_functor_map_leaf():
     assert functor_map(lambda n: n + 1, Leaf(0)) == Leaf(1)
 
 
-# -- generalized kleisli -------------------------------------------------------
+# -- generalized kleisli on the tree model's Church-encoded naturals ------------
 
 
 def test_gkleisli_ground_delegates_to_kleisli():
-    fn = lambda n: Leaf(n + 3)
-    assert gkleisli(NAT, fn, Leaf(5)) == Leaf(8)
+    fn = lambda n: nat(n + 3)
+    assert gkleisli(NAT, fn, nat(5)).run(Leaf) == Leaf(8)
 
 
 def test_gkleisli_unit_at_ground():
-    assert gkleisli(NAT, Leaf, Leaf(5)) == Leaf(5)
+    assert gkleisli(NAT, nat, nat(5)).run(Leaf) == Leaf(5)
 
 
 def test_gkleisli_arrow_applies_pointwise():
     # at nat -> nat over a leaf, grafting just applies the function at the leaf
-    fn = lambda n: lambda s: functor_map(lambda m: m + n, s)
-    out = gkleisli(Arrow(NAT, NAT), fn, Leaf(5))
-    probe = Leaf(10)
-    assert dieval(out(probe), identity) == dieval(fn(5)(probe), identity) == 15
+    fn = lambda n: lambda s: gkleisli(NAT, lambda m: nat(m + n), s)
+    out = gkleisli(Arrow(NAT, NAT), fn, nat(5))
+    probe = nat(10)
+    assert dieval(out(probe).run(Leaf), identity) == dieval(fn(5)(probe).run(Leaf), identity) == 15
+
+
+def test_gkleisli_grafts_as_the_reference_kleisli_on_generated_trees():
+    graft = lambda n: Branch(n % 4, lambda y: Leaf(y + n))
+    for seed in range(20):
+        d = gen_tree(GenConfig(seed=seed))
+        got = gkleisli(NAT, lambda n: graft_of(graft(n)), graft_of(d)).run(Leaf)
+        want = kleisli(graft, d)
+        for alpha in ORACLES + [gen_oracle(GenConfig(seed=seed + 1))]:
+            assert dieval(got, alpha) == dieval(want, alpha), f"seed {seed} oracle {alpha.spec()}"
 
 
 # -- term evaluation ------------------------------------------------------------
 
 
 def test_eval_dial_zero_and_numerals():
-    assert eval_dial(term("zero")) == Leaf(0)
-    assert eval_dial(numeral(3)) == Leaf(3)
+    assert eval_dial(term("zero")).run(Leaf) == Leaf(0)
+    assert eval_dial(numeral(3)).run(Leaf) == Leaf(3)
 
 
 def test_eval_dial_pure_rec():
     out = eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))
-    assert out == Leaf(2)
+    assert out.run(Leaf) == Leaf(2)
 
 
 def test_eval_dial_deep_numeral():
-    assert eval_dial(numeral(3000)) == Leaf(3000)
+    assert eval_dial(numeral(3000)).run(Leaf) == Leaf(3000)
 
 
 # -- differential check of the staged tree model -------------------------------
 
 
 def reference_dial(term, env=()):
-    """Plain structural interpreter of the tree model: no compilation, no
-    recursor shortcuts."""
+    """Plain structural interpreter of the tree model on inductive trees: no
+    compilation, no recursor shortcuts, no Church encoding."""
     if isinstance(term, Var):
         return env[term.index]
     if isinstance(term, Zero):
@@ -210,12 +223,18 @@ def reference_dial(term, env=()):
                 acc = stepv(Leaf(k))(acc)
             return acc
 
-        return gkleisli(term.motive, iterate, argv)
+        return _reference_gkleisli(term.motive, iterate, argv)
     raise TypeError(term)
 
 
+def _reference_gkleisli(ty, fn, tree):
+    if ty == NAT:
+        return kleisli(fn, tree)
+    return lambda s: _reference_gkleisli(ty.codomain, lambda n: fn(n)(s), tree)
+
+
 def _reference_tree(t):
-    return reference_dial(t)(generic)
+    return reference_dial(t)(reference_generic)
 
 
 def test_tree_model_matches_reference_on_generated_terms():
@@ -243,9 +262,9 @@ def test_tree_model_matches_reference_on_generated_terms():
 def test_tree_model_recursor_fast_paths_match_reference(src, expect):
     fn = term(src)
     staged, ref = eval_dial(fn), reference_dial(fn)
-    args = [Leaf(n) for n in [0, 1, 2, 17, 400]] + [generic(Leaf(3))]
+    args = [Leaf(n) for n in [0, 1, 2, 17, 400]] + [reference_generic(Leaf(3))]
     for arg in args:
-        got, want = staged(arg), ref(arg)
+        got, want = staged(graft_of(arg)).run(Leaf), ref(arg)
         for alpha in ORACLES:
             assert dieval(got, alpha) == dieval(want, alpha) == expect(dieval(arg, alpha))
 
@@ -254,7 +273,7 @@ def test_tree_model_recursor_fast_paths_match_reference(src, expect):
 
 
 def test_generic_on_leaf():
-    g = generic(Leaf(2))
+    g = generic(nat(2)).run(Leaf)
     assert isinstance(g, Branch) and g.query == 2
     assert g.children(9) == Leaf(9)
     assert dieval(g, identity) == 2
@@ -264,7 +283,7 @@ def test_generic_on_leaf():
 @given(trees, st.integers(0, 3))
 def test_generic_commuting_square(d, idx):
     alpha = ORACLES[idx]
-    assert dieval(generic(d), alpha) == alpha(dieval(d, alpha))
+    assert dieval(generic(graft_of(d)).run(Leaf), alpha) == alpha(dieval(d, alpha))
 
 
 # -- dialogue_tree -----------------------------------------------------------------
@@ -305,6 +324,39 @@ def test_correctness_on_sampled_oracles():
         for seed in range(10):
             alpha = gen_oracle(GenConfig(seed=seed))
             assert apply_set(tv, lift_oracle(alpha)).value == dieval(d, alpha)
+
+
+# -- nested queries cost linear time -----------------------------------------------
+
+
+def _query_chain(depth):
+    """fun (a : nat -> nat) -> a (a (... a 0)), built as a term, not parsed."""
+    body = Zero()
+    for _ in range(depth):
+        body = App(Var(0), body)
+    return Lam(Arrow(NAT, NAT), body)
+
+
+def _calls_to_run(term):
+    """Python calls made by dialogue_tree and dieval on term: deterministic, unlike a clock."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        dieval(dialogue_tree(term), Oracle((), 0))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_nested_queries_cost_linear_calls():
+    # a bind that re-walks the tree it grafts onto makes this ratio about 4
+    small, large = _calls_to_run(_query_chain(200)), _calls_to_run(_query_chain(400))
+    assert large / small <= 2.2
 
 
 # -- well-foundedness and printing ------------------------------------------------

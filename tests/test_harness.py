@@ -194,10 +194,11 @@ def test_corrupted_translation_is_caught_with_shrunk_witness(monkeypatch):
 
 
 def _planted_generic_fault(monkeypatch):
-    from systemt.dialogue import kleisli
+    from systemt.dialogue import Graft, gkleisli
 
+    # the oracle argument asks index 0, whatever index it was given
     monkeypatch.setattr(
-        dialogue, "generic", lambda tree: kleisli(lambda n: Branch(0, Leaf), tree)
+        dialogue, "generic", lambda tree: gkleisli(NAT, lambda n: Graft(lambda k: Branch(0, k)), tree)
     )
 
 
