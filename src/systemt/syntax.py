@@ -10,7 +10,9 @@ typechecker, reporting a type error at the position of the subterm at fault.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
@@ -168,44 +170,29 @@ class UnboundVariable(Exception):
 # ---------------------------------------------------------------------------
 
 _KEYWORDS = frozenset({"zero", "succ", "rec", "fun", "nat"})
+#: The tokens an application stops at: no argument starts with one.
+_APP_ENDS = frozenset({"->", ")", "[", "]", ":", "fun", "nat", ""})
 
-# one group per token class, so a match's `lastindex` classifies it; names may
-# hold any letters
-_TOKEN_RE = re.compile(r"(->|[()\[\]:])|(\d+)|([^\W\d]\w*)|(\S)")
+#: The largest numeral literal; literal n is a chain of n successors.
+_LITERAL_CAP = 10**5
+# one token with the blanks before it; names may hold any letters.  The empty
+# match at the end keeps trailing blanks from being retried at every offset.
+_TOKEN_RE = re.compile(r"\s*(?:->|[()\[\]:]|\d+|[^\W\d]\w*|\S|\Z)")
 
-_ATOM_STARTERS = frozenset({"zero", "succ", "rec", "(", "num", "ident"})
+
+def _tokenize(text: str) -> "tuple[list[str], list[int]]":
+    """The token strings of text, the first "" at its end, and their end offsets."""
+    chunks = _TOKEN_RE.findall(text)
+    return list(map(str.lstrip, chunks)), list(accumulate(map(len, chunks)))
 
 
-def _tokenize(text: str) -> "list[tuple]":
-    """The tokens of text as tuples (kind, text, line, col), the last of kind
-    "eof".  kind is "num", "ident", or the token text itself for keywords and
-    symbols; line and col are 1-based."""
-    tokens = []
-    line, line_start = 1, 0
-    nl = text.find("\n")
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        while 0 <= nl < start:
-            line, line_start = line + 1, nl + 1
-            nl = text.find("\n", line_start)
-        tok, group = m.group(), m.lastindex
-        if group == 3 and tok.isidentifier():
-            kind = tok if tok in _KEYWORDS else "ident"
-        elif group == 1:
-            kind = tok
-        elif group == 2:
-            kind = "num"
-        else:  # \w also matches non-decimal digits such as "²", which no name holds
-            bad = next((i for i, c in enumerate(tok) if not ("_" + c).isidentifier()), 0)
-            raise ParseError(line, start - line_start + 1 + bad, f"a token (got {tok[bad]!r})")
-        tokens.append((kind, tok, line, start - line_start + 1))
-    line += text.count("\n", line_start)
-    tokens.append(("eof", "", line, len(text) - text.rfind("\n")))
-    return tokens
+def _is_word(tok: str) -> bool:
+    """Is tok a name or keyword: a letter or "_", then what str.isidentifier takes?"""
+    return tok.isidentifier() and (tok[0].isalnum() or tok[0] == "_")
 
 
 class _Parser:
-    """Recursive descent over the token tuples; self.i indexes the next one.
+    """Recursive descent over the token strings; self.i indexes the next one.
 
     self.scope holds the names bound around the next token, innermost first,
     so a name's de Bruijn index is its position there; a name outside it
@@ -215,111 +202,133 @@ class _Parser:
     """
 
     def __init__(self, text: str, defs):
-        self.tokens = _tokenize(text)
+        self.toks, self.ends = _tokenize(text)
+        self.line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n")[:-1])]
         self.defs = defs
         self.i = 0
         self.scope: "tuple[str, ...]" = ()
         self.unbound: Optional[UnboundVariable] = None
 
-    def expect(self, kind: str, what: Optional[str] = None) -> tuple:
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError(tok[2], tok[3], what or f"'{kind}'")
+    def pos(self, i: int) -> tuple:
+        """The 1-based (line, col) where token i starts."""
+        start = self.ends[i] - len(self.toks[i])
+        line = bisect_right(self.line_starts, start)
+        return line, start - self.line_starts[line - 1] + 1
+
+    def raise_first_bad_token(self) -> None:
+        """Raise a ParseError at the first character no token may hold, if any."""
+        for i, tok in enumerate(self.toks):
+            if not (tok in _APP_ENDS or tok == "(" or tok.isdecimal() or _is_word(tok)):
+                bad = next((k for k, c in enumerate(tok) if not ("_" + c).isidentifier()), 0)
+                line, col = self.pos(i)
+                raise ParseError(line, col + bad, f"a token (got {tok[bad]!r})")
+
+    def expect(self, tok: str) -> None:
+        if self.toks[self.i] != tok:
+            raise ParseError(*self.pos(self.i), f"'{tok}'")
         self.i += 1
-        return tok
 
     # -- types ---------------------------------------------------------
 
     def ty(self) -> Ty:
         left = self.ty_atom()
-        if self.tokens[self.i][0] == "->":
+        if self.toks[self.i] == "->":
             self.i += 1
             return Arrow(left, self.ty())
         return left
 
     def ty_atom(self) -> Ty:
-        kind, _, line, col = self.tokens[self.i]
+        tok = self.toks[self.i]
         self.i += 1
-        if kind == "nat":
+        if tok == "nat":
             return NAT
-        if kind == "(":
+        if tok == "(":
             inner = self.ty()
             self.expect(")")
             return inner
-        raise ParseError(line, col, "a type")
+        raise ParseError(*self.pos(self.i - 1), "a type")
 
     # -- terms ---------------------------------------------------------
 
     def term(self) -> Term:
-        kind, _, line, col = self.tokens[self.i]
-        if kind == "fun":
-            self.i += 1
-            self.expect("(")
-            name = self.expect("ident", "a variable name")[1]
-            self.expect(":")
-            dom = self.ty()
-            self.expect(")")
-            self.expect("->")
-            outer = self.scope
-            self.scope = (name,) + outer
-            body = self.term()
-            self.scope = outer
-            return Lam(dom, body, (line, col))
-        return self.app()
+        start = self.i
+        if self.toks[start] != "fun":
+            return self.app()
+        self.i += 1
+        self.expect("(")
+        name = self.toks[self.i]
+        if name in _KEYWORDS or not _is_word(name):
+            raise ParseError(*self.pos(self.i), "a variable name")
+        self.i += 1
+        self.expect(":")
+        dom = self.ty()
+        self.expect(")")
+        self.expect("->")
+        outer = self.scope
+        self.scope = (name,) + outer
+        body = self.term()
+        self.scope = outer
+        return Lam(dom, body, self.pos(start))
 
     def app(self) -> Term:
         head = self.atom()
-        tokens = self.tokens
-        while tokens[self.i][0] in _ATOM_STARTERS:
+        toks = self.toks
+        while toks[self.i] not in _APP_ENDS:
             head = App(head, self.atom(), head.pos)
         return head
 
     def atom(self) -> Term:
-        kind, text, line, col = self.tokens[self.i]
-        self.i += 1
-        if kind == "ident":
-            try:
-                return Var(self.scope.index(text), (line, col))
-            except ValueError:
-                if text in self.defs:
-                    return replace(self.defs[text], pos=(line, col))
-                if self.unbound is None:
-                    self.unbound = UnboundVariable(text, (line, col))
-                return Var(0, (line, col))
-        if kind == "(":
+        i = self.i
+        tok = self.toks[i]
+        self.i = i + 1
+        if tok in self.scope:  # only names are bound
+            return Var(self.scope.index(tok), self.pos(i))
+        if tok == "(":
             inner = self.term()
             self.expect(")")
             return inner
-        if kind == "num":
-            n = int(text)
-            return Succ(numeral(n - 1), (line, col)) if n else Zero((line, col))
-        if kind == "zero":
-            return Zero((line, col))
-        if kind == "succ":
-            return Succ(self.atom(), (line, col))
-        if kind == "rec":
+        if tok == "succ":
+            return Succ(self.atom(), self.pos(i))
+        if tok == "zero":
+            return Zero(self.pos(i))
+        if tok == "rec":
             self.expect("[")
             motive = self.ty()
             self.expect("]")
-            step = self.atom()
-            base = self.atom()
-            return Rec(motive, step, base, self.atom(), (line, col))
-        raise ParseError(line, col, "a term")
+            step, base = self.atom(), self.atom()
+            return Rec(motive, step, base, self.atom(), self.pos(i))
+        if tok.isdecimal():
+            digits = tok.lstrip("0") or "0"  # int() of a long literal is slow or fails
+            n = int(digits) if len(digits) <= len(str(_LITERAL_CAP)) else _LITERAL_CAP + 1
+            if n > _LITERAL_CAP:
+                raise ParseError(*self.pos(i), f"a numeral of at most {_LITERAL_CAP}")
+            return Succ(numeral(n - 1), self.pos(i)) if n else Zero(self.pos(i))
+        if tok in _KEYWORDS or not _is_word(tok):
+            raise ParseError(*self.pos(i), "a term")
+        if tok in self.defs:
+            return replace(self.defs[tok], pos=self.pos(i))
+        if self.unbound is None:
+            self.unbound = UnboundVariable(tok, self.pos(i))
+        return Var(0, self.pos(i))
 
 
 def parse(text: str, defs: "Mapping[str, Term]" = MappingProxyType({})) -> Term:
     """Parse one closed surface-syntax term; application is left-associative.
 
     A name that no binder around it declares stands for the closed term defs
-    gives it.  Raises ParseError on malformed text, else UnboundVariable at
-    the first name that neither a binder nor defs declares.  The result is
-    not yet typechecked.
+    gives it.  Raises ParseError on malformed text, first at a character no
+    token may hold, else UnboundVariable at the first name that neither a
+    binder nor defs declares.  The result is not yet typechecked.
     """
     p = _Parser(text, defs)
-    term = p.term()
-    kind, _, line, col = p.tokens[p.i]
-    if kind != "eof":
-        raise ParseError(line, col, "end of input")
+    try:
+        term = p.term()
+        if p.toks[p.i]:
+            raise ParseError(*p.pos(p.i), "end of input")
+    except (ParseError, RecursionError):
+        # a bad character anywhere in the text wins, even over text too deep
+        p.raise_first_bad_token()
+        raise
     if p.unbound is not None:
         raise p.unbound
     return term
@@ -340,7 +349,10 @@ def infer(term: Term, ctx=()) -> Ty:
     """Synthesize the type of a well-scoped de Bruijn term in ctx, a sequence
     of types, innermost binding first.  A TypeCheckError carries the
     position of the subterm at fault (None if it was not parsed)."""
-    ctx = tuple(ctx)
+    return _infer(term, tuple(ctx))
+
+
+def _infer(term: Term, ctx: tuple) -> Ty:
     if isinstance(term, Var):
         if term.index >= len(ctx):
             raise TypeCheckError(term.pos, "a bound variable", f"index {term.index} in context of length {len(ctx)}")
@@ -351,29 +363,29 @@ def infer(term: Term, ctx=()) -> Ty:
         # numerals are Succ chains: walk them in a loop, not one frame each
         while isinstance(term, Succ):
             term = term.arg
-        ty = infer(term, ctx)
+        ty = _infer(term, ctx)
         if ty != NAT:
             raise TypeCheckError(term.pos, NAT, ty)
         return NAT
     if isinstance(term, Rec):
         want_step = arrow(NAT, term.motive, term.motive)
-        sty = infer(term.step, ctx)
+        sty = _infer(term.step, ctx)
         if sty != want_step:
             raise TypeCheckError(term.step.pos, want_step, sty)
-        bty = infer(term.base, ctx)
+        bty = _infer(term.base, ctx)
         if bty != term.motive:
             raise TypeCheckError(term.base.pos, term.motive, bty)
-        aty = infer(term.arg, ctx)
+        aty = _infer(term.arg, ctx)
         if aty != NAT:
             raise TypeCheckError(term.arg.pos, NAT, aty)
         return term.motive
     if isinstance(term, Lam):
-        return Arrow(term.domain, infer(term.body, (term.domain,) + ctx))
+        return Arrow(term.domain, _infer(term.body, (term.domain,) + ctx))
     if isinstance(term, App):
-        fty = infer(term.fn, ctx)
+        fty = _infer(term.fn, ctx)
         if not isinstance(fty, Arrow):
             raise TypeCheckError(term.fn.pos, "a function type", fty)
-        aty = infer(term.arg, ctx)
+        aty = _infer(term.arg, ctx)
         if aty != fty.domain:
             raise TypeCheckError(term.arg.pos, fty.domain, aty)
         return fty.codomain
@@ -418,14 +430,15 @@ def pretty(term: Term) -> str:
     that is not an atom is parenthesized in argument position.
     """
     out: "list[str]" = []
-    _pp(term, [], False, out)
+    _pp(term, [], False, out, {})
     return "".join(out)
 
 
-def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
+def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) -> None:
     """Append t's text to out, parenthesized if atom is set and t is no atom.
     names holds the binders around t, innermost last; each piece is written
-    once, so printing takes time linear in the text."""
+    once, so printing takes time linear in the text.  tys maps the id of each
+    type printed so far, which t keeps alive, to its text."""
     if isinstance(t, Var):
         if t.index >= len(names):
             raise ValueError(f"free index {t.index} has no name")
@@ -441,27 +454,29 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
         out.append("(")
     if k:
         out.append("succ " + "(succ " * (k - 1))
-        _pp(core, names, True, out)
+        _pp(core, names, True, out, tys)
         out.append(")" * (k - 1))
     elif isinstance(t, Lam):
         name = _binder_name(len(names))
-        out.append(f"fun ({name} : {format_ty(t.domain)}) -> ")
+        dom = tys.get(id(t.domain)) or tys.setdefault(id(t.domain), format_ty(t.domain))
+        out.append(f"fun ({name} : {dom}) -> ")
         names.append(name)
-        _pp(t.body, names, False, out)
+        _pp(t.body, names, False, out, tys)
         names.pop()
     elif isinstance(t, App):
         args = []
         while isinstance(t, App):  # the spine f a b ... in a loop
             args.append(t.arg)
             t = t.fn
-        _pp(t, names, True, out)
+        _pp(t, names, True, out, tys)
         for arg in reversed(args):
             out.append(" ")
-            _pp(arg, names, True, out)
+            _pp(arg, names, True, out, tys)
     else:
-        out.append(f"rec[{format_ty(t.motive)}]")
+        motive = tys.get(id(t.motive)) or tys.setdefault(id(t.motive), format_ty(t.motive))
+        out.append(f"rec[{motive}]")
         for sub in (t.step, t.base, t.arg):
             out.append(" ")
-            _pp(sub, names, True, out)
+            _pp(sub, names, True, out, tys)
     if atom:
         out.append(")")

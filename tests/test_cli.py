@@ -160,6 +160,20 @@ def test_deep_literal(tmp_path, capsys, command):
     assert (code, got) == (0, DEEP_LITERAL_OUT[command])
 
 
+@pytest.mark.parametrize("literal", ["100001", "99999999999999999999", "9" * 5000])
+def test_a_literal_above_the_cap_is_a_parse_error(tmp_path, capsys, literal):
+    # literal n is a chain of n successors: 20 digits never returned, and 5000
+    # digits made int() raise a ValueError with no position
+    f = tmp_path / "big.t"
+    f.write_text("fun (a : nat -> nat) -> " + literal)
+    started = time.perf_counter()
+    assert run(capsys, "check", str(f)) == (1, "", "error: 1:25: expected a numeral of at most 100000\n")
+    assert time.perf_counter() - started < 0.5
+    # leading zeros do not count
+    f.write_text("fun (a : nat -> nat) -> " + "0" * 5000 + "7")
+    assert run(capsys, "eval", str(f), "--oracle", "default=0") == (0, "7\n", "")
+
+
 #: Deep terms, and the answers of eval and modulus at the all-zero oracle.
 DEEP_TERMS = {
     "succ": ("succ (" * 2000 + "a 0" + ")" * 2000, "2000\n", "1\n"),

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,7 @@ from systemt.syntax import (
     UnboundVariable,
     Var,
     Zero,
-    _tokenize,
+    _Parser,
     arrow,
     format_ty,
     infer,
@@ -116,6 +119,40 @@ def test_parse_whitespace_insensitive():
     assert parse("succ\n  ( succ   zero )") == parse("succ (succ zero)")
 
 
+def test_parse_trailing_blanks_in_linear_time():
+    # a token pattern that retried a blank run at each of its offsets took 20 s here
+    started = time.perf_counter()
+    assert parse("zero" + " " * 20_000) == Zero()
+    with pytest.raises(ParseError) as e:
+        parse("fun (a : nat) ->" + " \n" * 20_000)
+    assert (e.value.line, e.value.col) == (20_001, 1)
+    assert time.perf_counter() - started < 1
+
+
+#: The deepest nesting of each kind that parse takes at the default recursion
+#: limit, counted from the bottom of a fresh thread's stack.
+PARSE_DEPTHS = {
+    "succ": (247, lambda n: "fun (a : nat -> nat) -> " + "succ (" * n + "a 0" + ")" * n),
+    "app": (329, lambda n: "fun (a : nat -> nat) -> " + "a (" * n + "0" + ")" * n),
+    "fun": (989, lambda n: "fun (x : nat) -> " * n + "x"),
+    "arrow": (991, lambda n: "fun (f : " + "nat -> " * n + "nat) -> f"),
+}
+
+
+@pytest.mark.parametrize("kind", list(PARSE_DEPTHS))
+def test_parse_takes_as_deep_a_text_at_the_default_recursion_limit(kind):
+    depth, text = PARSE_DEPTHS[kind]
+    parsed, limit = [], sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        thread = threading.Thread(target=lambda: parsed.append(parse(text(depth))))
+        thread.start()
+        thread.join()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(parsed) == 1  # the thread raised if it is empty
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.data())
 def test_parse_any_whitespace_between_tokens(seed, data):
@@ -130,7 +167,9 @@ def test_parse_any_whitespace_between_tokens(seed, data):
         offset += len(sep)
         where.append((tok, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)))
         offset += len(tok)
-    assert [(tok, line, col) for _, tok, line, col in _tokenize(text)[:-1]] == where
+    p = _Parser(text, {})
+    assert [(tok, *p.pos(i)) for i, tok in enumerate(p.toks[: len(toks)])] == where
+    assert p.toks[len(toks)] == ""
 
 
 # -- typechecking -----------------------------------------------------------
