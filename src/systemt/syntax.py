@@ -217,7 +217,7 @@ class _Parser:
 
     def raise_first_bad_token(self) -> None:
         """Raise a ParseError at the first character no token may hold, if any."""
-        for i, tok in enumerate(self.toks):
+        for i, tok in enumerate(self.toks):  # the ends of applications are symbols, keywords or ""
             if not (tok in _APP_ENDS or tok == "(" or tok.isdecimal() or _is_word(tok)):
                 bad = next((k for k, c in enumerate(tok) if not ("_" + c).isidentifier()), 0)
                 line, col = self.pos(i)

@@ -160,10 +160,11 @@ def test_deep_literal(tmp_path, capsys, command):
     assert (code, got) == (0, DEEP_LITERAL_OUT[command])
 
 
-@pytest.mark.parametrize("literal", ["100001", "99999999999999999999", "9" * 5000])
+@pytest.mark.parametrize("literal", ["100001", "9" * 5000])
 def test_a_literal_above_the_cap_is_a_parse_error(tmp_path, capsys, literal):
-    # literal n is a chain of n successors: 20 digits never returned, and 5000
-    # digits made int() raise a ValueError with no position
+    # literal n is a chain of n successors, so a 20-digit one never returned;
+    # without the cap these fail fast: 100001 answers, and 5000 digits made
+    # int() raise a ValueError with no position
     f = tmp_path / "big.t"
     f.write_text("fun (a : nat -> nat) -> " + literal)
     started = time.perf_counter()

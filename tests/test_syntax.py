@@ -108,6 +108,8 @@ def test_parse_error_carries_position():
         ("fun (a : nat -> nat) ->\n" + "succ\n" * 20000 + "  ?", 20002, 3),
         # a parse error wins over an unbound name earlier in the text
         ("fun (a : nat) -> b )", 1, 20),
+        # a bad character wins over any parse error, even over a text too deep
+        ("succ (" * 2000 + "zero" + ")" * 2000 + " @", 1, 14006),
     ]
     for text, line, col in cases:
         with pytest.raises(ParseError) as e:
@@ -147,9 +149,10 @@ def test_parse_takes_as_deep_a_text_at_the_default_recursion_limit(kind):
     try:
         thread = threading.Thread(target=lambda: parsed.append(parse(text(depth))))
         thread.start()
-        thread.join()
+        thread.join(timeout=60)
     finally:
         sys.setrecursionlimit(limit)
+    assert not thread.is_alive()
     assert len(parsed) == 1  # the thread raised if it is empty
 
 
