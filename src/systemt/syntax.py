@@ -298,8 +298,8 @@ class _Parser:
             step, base = self.atom(), self.atom()
             return Rec(motive, step, base, self.atom(), self.pos(i))
         if tok.isdecimal():
-            digits = tok.lstrip("0") or "0"  # int() of a long literal is slow or fails
-            n = int(digits) if len(digits) <= len(str(_LITERAL_CAP)) else _LITERAL_CAP + 1
+            # any nonzero digit, of any script, before the last six tops the six-digit cap
+            n = int(tok[-6:]) if not any(map(int, tok[:-6])) else _LITERAL_CAP + 1
             if n > _LITERAL_CAP:
                 raise ParseError(*self.pos(i), f"a numeral of at most {_LITERAL_CAP}")
             return Succ(numeral(n - 1), self.pos(i)) if n else Zero(self.pos(i))
@@ -424,10 +424,10 @@ def _binder_name(depth: int) -> str:
 
 
 def pretty(term: Term) -> str:
-    """Deterministic surface syntax of a closed term; parse(pretty(t)) == t.
-
-    Binder names are chosen by depth, numerals are re-sugared, and anything
-    that is not an atom is parenthesized in argument position.
+    """Deterministic surface syntax of a closed term; parse(pretty(t)) == t
+    unless t holds a numeral above _LITERAL_CAP.  Binder names are chosen by
+    depth, numerals are re-sugared, and non-atoms are parenthesized in
+    argument position.
     """
     out: "list[str]" = []
     _pp(term, [], False, out, {})

@@ -128,13 +128,13 @@ def test_parse_whitespace_insensitive():
 
 def test_parse_trailing_blanks_in_linear_time():
     # a token pattern without the \Z alternative retried trailing blanks at each
-    # of their offsets: 20000 of them took 20 s
+    # of their offsets: 20000 of them took 20 s, linear time takes milliseconds
     started = time.perf_counter()
     assert parse("zero" + " " * 20_000) == Zero()
     with pytest.raises(ParseError) as e:
         parse("fun (a : nat) ->" + " \n" * 20_000)
     assert (e.value.line, e.value.col) == (20_001, 1)
-    assert time.perf_counter() - started < 1
+    assert time.perf_counter() - started < 5
 
 
 #: The deepest nesting of each kind that parse takes at the default recursion
@@ -436,3 +436,14 @@ def test_parse_pretty_roundtrip(src):
     t = typecheck(parse(src))
     again = typecheck(parse(pretty(t)))
     assert again == t
+
+
+def test_parse_pretty_roundtrip_ends_at_the_literal_cap():
+    # pretty prints any closed numeral as a literal, and parse refuses one above the cap
+    # (a chain of successors this deep is compared by its text: == recurses)
+    at_cap = parse("succ 99999")
+    assert pretty(at_cap) == "100000" and pretty(parse(pretty(at_cap))) == "100000"
+    above = parse("succ 100000")
+    assert pretty(above) == "100001"
+    with pytest.raises(ParseError, match="1:1: expected a numeral of at most 100000"):
+        parse(pretty(above))

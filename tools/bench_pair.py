@@ -1,12 +1,14 @@
 """Compare the benchmark of two git refs, run in alternating pairs on one machine.
 
-    python3 tools/bench_pair.py --base REF [--head REF] --workloads query,selftest \
-        --seeds 101,102,4242 [--seconds 35] --out BENCH_<n>.json
+    python3 tools/bench_pair.py --base REF [--head REF] [--workloads query,selftest] \
+        --seeds 101,102,4242 --out BENCH_<n>.json
 
 Each ref is unpacked with `git archive` into a temporary directory, so both
-sides run from their committed files.  For every workload and seed, the two
-sides run `perfbench/run.py --trace 0` one after the other; which side goes
-first alternates from pair to pair, so a drift in machine speed falls on both.
+sides run from their committed files.  The head's BENCHMARK.json gives the
+command, the run length and, unless --workloads names some, the workloads.
+For every workload and seed, the two sides run the benchmark with `--trace 0`
+one after the other; which side goes first alternates from pair to pair, so a
+drift in machine speed falls on both.
 Then each side runs once with `--trace 1` at the first seed, for the per-layer
 split.  The output file holds, per workload and end-to-end metric, both sides'
 median, the base's interquartile range, the relative change and the number of
@@ -37,11 +39,11 @@ def unpack(ref: str, into: Path) -> Path:
     return into
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON object that one perfbench run prints last."""
+def run_bench(checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
+    """The JSON object that one run of spec's benchmark command prints last."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [*spec["command"], "--workload", workload, "--seed", str(seed),
+         "--seconds", str(spec["run_seconds"]), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     if not done.stdout.strip():
@@ -92,9 +94,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref of the baseline")
     parser.add_argument("--head", default="HEAD", help="git ref of the change (default HEAD)")
-    parser.add_argument("--workloads", required=True, help="comma-separated workload names")
+    parser.add_argument("--workloads", help="comma-separated workload names (default: all)")
     parser.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
-    parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -104,16 +105,17 @@ def main(argv=None) -> int:
         spec = json.loads((sides["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         units = {m["name"]: m["unit"] for m in spec["per_layer"]}
-        report = {"base": args.base, "head": args.head, "seconds": args.seconds, "workloads": {}}
-        for workload in args.workloads.split(","):
+        workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+        report = {"base": args.base, "head": args.head, "workloads": {}}
+        for workload in workloads:
             runs = []
             for k, seed in enumerate(seeds):
                 order = ("base", "head") if k % 2 == 0 else ("head", "base")
-                got = {side: run_bench(sides[side], workload, seed, args.seconds, 0) for side in order}
+                got = {side: run_bench(sides[side], spec, workload, seed, 0) for side in order}
                 runs.append({"seed": seed, "first": order[0], **got})
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} cases_per_s {got[side]['metrics'].get('cases_per_s')}" for side in order), flush=True)
-            traced = {side: run_bench(sides[side], workload, seeds[0], args.seconds, 1) for side in ("base", "head")}
+            traced = {side: run_bench(sides[side], spec, workload, seeds[0], 1) for side in ("base", "head")}
             report["workloads"][workload] = {
                 "summary": summarize([(r["base"]["metrics"], r["head"]["metrics"]) for r in runs], better),
                 "runs": runs,
