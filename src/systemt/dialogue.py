@@ -30,12 +30,12 @@ class TypeMismatch(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Leaf:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Branch:
     query: int
     children: Callable[[object], "DTree"]

@@ -5,6 +5,10 @@ recently bound variable) and carry the source position they were parsed
 from.  Named variables exist only in the surface syntax: the parser resolves
 each name to its index against the binders around it, and `infer` is the one
 typechecker, reporting a type error at the position of the subterm at fault.
+
+Types are hash-consed, so == and hash on them are identity checks.  Term
+nodes are slotted and compare structurally, ignoring positions; they are never
+mutated after construction, as `set_model.share` keys on identity.
 """
 
 from __future__ import annotations
@@ -21,20 +25,44 @@ from typing import Mapping, Optional, Union
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Nat:
-    """The base type of natural numbers."""
+    """The base type of natural numbers; Nat() is always NAT."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return NAT
+
+    def __repr__(self):
+        return "Nat()"
+
+    def __reduce__(self):
+        return Nat, ()
 
 
-@dataclass(frozen=True)
 class Arrow:
-    domain: "Ty"
-    codomain: "Ty"
+    """A function type, hash-consed: Arrow(d, c) is the one object for (d, c)."""
+
+    __slots__ = ("domain", "codomain")
+
+    def __new__(cls, domain: "Ty", codomain: "Ty"):
+        ty = _ARROWS.get((domain, codomain))
+        if ty is None:
+            ty = _ARROWS[domain, codomain] = object.__new__(cls)
+            ty.domain, ty.codomain = domain, codomain
+        return ty
+
+    def __repr__(self):
+        return f"Arrow(domain={self.domain!r}, codomain={self.codomain!r})"
+
+    def __reduce__(self):
+        return Arrow, (self.domain, self.codomain)
 
 
 Ty = Union[Nat, Arrow]
 
-NAT = Nat()
+NAT = object.__new__(Nat)
+_ARROWS: "dict[tuple[Ty, Ty], Arrow]" = {}  # every Arrow built, by its children; never emptied
 
 
 def arrow(*tys: Ty) -> Ty:
@@ -48,12 +76,14 @@ def arrow(*tys: Ty) -> Ty:
 
 
 def format_ty(ty: Ty) -> str:
-    if isinstance(ty, Nat):
-        return "nat"
-    dom = format_ty(ty.domain)
-    if isinstance(ty.domain, Arrow):
-        dom = f"({dom})"
-    return f"{dom} -> {format_ty(ty.codomain)}"
+    """The text of ty; the codomain chain is walked in a loop, in linear time."""
+    parts = []
+    while isinstance(ty, Arrow):
+        dom = format_ty(ty.domain)
+        parts.append(f"({dom})" if isinstance(ty.domain, Arrow) else dom)
+        ty = ty.codomain
+    parts.append("nat")
+    return " -> ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -64,24 +94,24 @@ def format_ty(ty: Ty) -> str:
 Pos = Optional[tuple]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     index: int
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Zero:
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Succ:
     arg: "Term"
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Rec:
     """Primitive recursion at the annotated motive type.
 
@@ -95,14 +125,14 @@ class Rec:
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lam:
     domain: Ty
     body: "Term"
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App:
     fn: "Term"
     arg: "Term"
@@ -437,8 +467,8 @@ def pretty(term: Term) -> str:
 def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) -> None:
     """Append t's text to out, parenthesized if atom is set and t is no atom.
     names holds the binders around t, innermost last; each piece is written
-    once, so printing takes time linear in the text.  tys maps the id of each
-    type printed so far, which t keeps alive, to its text."""
+    once, so printing takes time linear in the text.  tys maps each type
+    printed so far to its text."""
     if isinstance(t, Var):
         if t.index >= len(names):
             raise ValueError(f"free index {t.index} has no name")
@@ -458,7 +488,7 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) ->
         out.append(")" * (k - 1))
     elif isinstance(t, Lam):
         name = _binder_name(len(names))
-        dom = tys.get(id(t.domain)) or tys.setdefault(id(t.domain), format_ty(t.domain))
+        dom = tys.get(t.domain) or tys.setdefault(t.domain, format_ty(t.domain))
         out.append(f"fun ({name} : {dom}) -> ")
         names.append(name)
         _pp(t.body, names, False, out, tys)
@@ -473,7 +503,7 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) ->
             out.append(" ")
             _pp(arg, names, True, out, tys)
     else:
-        motive = tys.get(id(t.motive)) or tys.setdefault(id(t.motive), format_ty(t.motive))
+        motive = tys.get(t.motive) or tys.setdefault(t.motive, format_ty(t.motive))
         out.append(f"rec[{motive}]")
         for sub in (t.step, t.base, t.arg):
             out.append(" ")

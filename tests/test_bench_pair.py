@@ -1,6 +1,7 @@
 """The summary step of tools/bench_pair.py, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,46 @@ def test_layer_shares_count_only_timed_layers_largest_first():
     metrics = {"syntax.parse_s": 3.0, "syntax.pretty_s": 1.0, "syntax.fail": 397, "idle_s": 0.0}
     shares = bench_pair.layer_shares(metrics, units)
     assert list(shares.items()) == [("syntax.parse_s", 0.75), ("syntax.pretty_s", 0.25)]
+
+
+def test_wrong_runs_lists_each_run_not_correct_or_with_failed_calls():
+    def run(correct=True, failed=0):
+        return {"correct": correct, "failed": failed, "attempted": 10, "metrics": {}}
+
+    workloads = {
+        "query": {
+            "runs": [{"seed": 101, "base": run(), "head": run(failed=2)},
+                     {"seed": 102, "base": run(correct=False), "head": run()}],
+            "trace": {"base": run(), "head": run(correct=False, failed=1)},
+        },
+        "apply": {"runs": [{"seed": 101, "base": run(), "head": run()}], "trace": {"base": run(), "head": run()}},
+    }
+    assert bench_pair.wrong_runs(workloads) == [
+        "query 101 head: correct True, failed 2",
+        "query 102 base: correct False, failed 0",
+        "query trace head: correct False, failed 1",
+    ]
+    assert bench_pair.wrong_runs({"apply": workloads["apply"]}) == []
+
+
+def test_main_exits_1_after_writing_a_report_with_a_wrong_run(tmp_path, monkeypatch):
+    spec = {"command": [], "run_seconds": 1, "workloads": [{"name": "query"}],
+            "end_to_end": [{"name": "cases_per_s", "better": "higher"}], "per_layer": []}
+
+    def unpack(ref, into):
+        into.mkdir()
+        (into / "BENCHMARK.json").write_text(json.dumps(spec))
+        return into
+
+    def run_bench(checkout, spec, workload, seed, trace):
+        correct = not (checkout.name == "head" and seed == 2 and not trace)
+        return {"correct": correct, "failed": 0, "attempted": 1, "metrics": {"cases_per_s": 1.0}}
+
+    monkeypatch.setattr(bench_pair, "unpack", unpack)
+    monkeypatch.setattr(bench_pair, "run_bench", run_bench)
+    out = tmp_path / "report.json"
+    assert bench_pair.main(["--base", "HEAD~1", "--seeds", "1,2", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["wrong_runs"] == ["query 2 head: correct False, failed 0"]
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *a: {**run_bench(*a), "correct": True})
+    assert bench_pair.main(["--base", "HEAD~1", "--seeds", "1,2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["wrong_runs"] == []

@@ -1,17 +1,22 @@
+import copy
+import pickle
 import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from systemt.dialogue import Branch, Leaf
 from systemt.harness import GenConfig, gen_term
 from systemt.syntax import (
     NAT,
     App,
     Arrow,
     Lam,
+    Nat,
     ParseError,
     Rec,
     Succ,
@@ -420,6 +425,17 @@ def test_format_ty():
     assert format_ty(arrow(NAT, NAT, NAT)) == "nat -> nat -> nat"
 
 
+def test_format_ty_of_a_long_arrow_chain_in_linear_time():
+    # formatting each codomain and pasting it into its arrow's text took quadratic
+    # time, about 10 s here; the loop over the chain takes well under 0.1 s
+    ty = arrow(*[NAT] * 200_001)
+    started = time.perf_counter()
+    text = format_ty(ty)
+    assert time.perf_counter() - started < 2
+    assert text == "nat -> " * 200_000 + "nat"
+    assert format_ty(arrow(BAIRE_FN, BAIRE_FN, NAT)) == "((nat -> nat) -> nat) -> ((nat -> nat) -> nat) -> nat"
+
+
 ROUNDTRIP_SOURCES = [
     "zero",
     "7",
@@ -447,3 +463,53 @@ def test_parse_pretty_roundtrip_ends_at_the_literal_cap():
     assert pretty(above) == "100001"
     with pytest.raises(ParseError, match="1:1: expected a numeral of at most 100000"):
         parse(pretty(above))
+
+
+# -- node semantics ---------------------------------------------------------
+
+
+def test_types_are_hash_consed():
+    assert Arrow(NAT, NAT) is Arrow(NAT, NAT)
+    assert Nat() is NAT
+    assert arrow(Arrow(NAT, NAT), NAT) is BAIRE_FN
+    assert Arrow(domain=NAT, codomain=Arrow(NAT, NAT)) is arrow(NAT, NAT, NAT)
+    assert Arrow(NAT, NAT) != Arrow(NAT, BAIRE_FN) and NAT != Arrow(NAT, NAT)
+
+
+@pytest.mark.parametrize("ty", [NAT, BAIRE_FN])
+def test_copies_of_a_type_are_the_type(ty):
+    assert copy.copy(ty) is ty
+    assert copy.deepcopy(ty) is ty
+    assert pickle.loads(pickle.dumps(ty)) is ty
+
+
+def test_type_repr_is_unchanged():
+    assert repr(NAT) == "Nat()"
+    assert repr(BAIRE_FN) == "Arrow(domain=Arrow(domain=Nat(), codomain=Nat()), codomain=Nat())"
+
+
+def test_terms_compare_and_hash_structurally_ignoring_positions():
+    one = parse("fun (a : nat -> nat) -> rec[nat] (fun (n : nat) -> fun (m : nat) -> a m) 0 (a 1)")
+    other = parse("fun (b : nat -> nat) ->\n  rec[nat] (fun (i : nat) -> fun (r : nat) -> b r) zero (b 1)")
+    assert one is not other and one.body.pos != other.body.pos
+    assert one == other and hash(one) == hash(other)
+    assert one != parse("fun (a : nat -> nat) -> rec[nat] (fun (n : nat) -> fun (m : nat) -> a n) 0 (a 1)")
+    assert {one: 1}[other] == 1
+
+
+def test_replace_sets_a_terms_position():
+    t = parse("succ zero")
+    moved = replace(t, pos=(3, 4))
+    assert (moved.pos, t.pos) == ((3, 4), (1, 1))
+    assert moved == t and moved is not t
+
+
+@pytest.mark.parametrize(
+    "node",
+    [NAT, BAIRE_FN, Var(0), Zero(), Succ(Zero()), Lam(NAT, Var(0)), App(Var(0), Zero()),
+     Rec(NAT, Var(0), Zero(), Zero()), Leaf(0), Branch(0, Leaf)],
+    ids=lambda node: type(node).__name__,
+)
+def test_nodes_are_slotted(node):
+    # frozen dataclasses keep a __dict__ and pay a setattr per field on construction
+    assert not hasattr(node, "__dict__")

@@ -13,7 +13,9 @@ Then each side runs once with `--trace 1` at the first seed, for the per-layer
 split.  The output file holds, per workload and end-to-end metric, both sides'
 median, the base's interquartile range, the relative change and the number of
 pairs the head won, with every run's raw numbers and the traced metrics and
-layer shares of both sides.  Standard library only.
+layer shares of both sides.  A run that printed `correct: false` or
+`failed > 0` is listed under "wrong_runs", and the script then exits 1.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -90,6 +92,19 @@ def layer_shares(metrics: dict, units: "dict[str, str]") -> dict:
     return {name: round(v / total, 4) for name, v in sorted(timed.items(), key=lambda kv: -kv[1])}
 
 
+def wrong_runs(workloads: dict) -> "list[str]":
+    """Each run of the report's workloads that was not correct or had failed
+    calls, as "workload seed side: ..." (the seed reads "trace" for a traced run)."""
+    wrong = []
+    for workload, got in workloads.items():
+        for seed, sides in [*((r["seed"], r) for r in got["runs"]), ("trace", got["trace"])]:
+            for side in ("base", "head"):
+                run = sides[side]
+                if not run["correct"] or run["failed"]:
+                    wrong.append(f"{workload} {seed} {side}: correct {run['correct']}, failed {run['failed']}")
+    return wrong
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref of the baseline")
@@ -121,8 +136,11 @@ def main(argv=None) -> int:
                 "runs": runs,
                 "trace": {side: {**t, "layer_shares": layer_shares(t["metrics"], units)} for side, t in traced.items()},
             }
+    report["wrong_runs"] = wrong_runs(report["workloads"])
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    for line in report["wrong_runs"]:
+        print(f"wrong run: {line}", file=sys.stderr)
+    return 1 if report["wrong_runs"] else 0
 
 
 if __name__ == "__main__":
