@@ -12,6 +12,7 @@ ground values are `Graft`s, and its function values plain Python callables.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -52,8 +53,8 @@ class Oracle:
     default, so structural equality coincides with pointwise equality.
     """
 
-    prefix: "tuple[int, ...]" = ()
-    default: int = 0
+    prefix: "tuple[int, ...]"
+    default: int
 
     def __post_init__(self):
         prefix = tuple(self.prefix)
@@ -86,7 +87,11 @@ class Oracle:
         # int() also reads "1_0", "+5" and non-ASCII digits, which no term may spell
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"bad oracle spec {text!r}: entries must be naturals in decimal digits")
-        *prefix, default = map(int, parts)
+        try:
+            *prefix, default = map(int, parts)
+        except ValueError:  # all digits, so int() refused only their number
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"bad oracle spec {text!r}: entries must have at most {limit} digits") from None
         return cls(tuple(prefix), default)
 
 
@@ -170,7 +175,7 @@ def dialogue_tree(term: Term) -> DTree:
 # ---------------------------------------------------------------------------
 
 
-def tree_sexpr(tree: DTree, answers: int = 2, depth: int = 64) -> str:
+def tree_sexpr(tree: DTree, answers: int, depth: int) -> str:
     """Render a tree over the answer alphabet {0..answers-1}, cutting at depth.
 
     Subtrees past the depth bound are replaced by the marker (...).

@@ -5,22 +5,22 @@ the target type is drawn by weight, with a strictly decreasing node budget
 guaranteeing termination; an exhausted budget falls back to the canonical
 inhabitant of the target type.
 
-Every suite observes one natural number two ways and checks that they agree.
-A term suite is one row of the table `_SUITES`: a check taking the term's
-views and a point (an oracle, or None for the uniform suites, which look at
-the whole tree once) to a failure detail or None.  The views of a term are
-built on first use and shared by all its points: the set-model value, the
-external dialogue tree and its Church encoding, the compiled internal tree,
-the internal dialogue operator applied to the internal tree, and the
-tree-wide max question over answers 0 and 1.  A check builds the closed
-constants it applies, such as `moduli.modulus_int()`, at each use, so a test
-can swap in a faulty one; set_model compiles each once.  `run_suites` runs any
-rows in one pass over the terms: each term's views are built once and shared
-by every suite that checks it, and `run_suite` is its one-suite case.  A
-suite's `seconds` is the time spent in its own checks, including the views it
-was first to need.  A failing term is shrunk by re-running the same check on
-fresh views of every candidate.  lem36 observes generated trees, not terms,
-and so has no row and nothing to shrink.
+Every suite observes one natural number two ways and checks that they agree;
+its row in the table `SUITES` holds its check and default scale.  A term
+suite's check takes the term's views and a point (an oracle, or None for the
+uniform suites, which look at the whole tree once) to a failure detail or
+None.  The views of a term are built on first use and shared by all its
+points: the set-model value, the external dialogue tree and its Church
+encoding, the compiled internal tree, the internal dialogue operator applied
+to the internal tree, and the tree-wide max question over answers 0 and 1.  A
+check builds the closed constants it applies, such as `moduli.modulus_int()`,
+at each use, so a test can swap in a faulty one; set_model compiles each
+once.  `run_suites` runs any rows in one pass over the terms: each term's
+views are built once and shared by every suite that checks it, and
+`run_suite` is its one-suite case.  A suite's `seconds` is the time spent in
+its own checks, including the views it was first to need.  A failing term is
+shrunk by re-running the same check on fresh views of every candidate.  lem36
+observes generated trees, so it has no check and nothing to shrink.
 
 thm45 decides most cases by replay, reading Theorem 4.5 operationally as in
 effectful forcing: the compiled set-model value is deterministic and sees the
@@ -296,19 +296,6 @@ def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
 # Suites
 # ---------------------------------------------------------------------------
 
-SUITE_IDS = (
-    "thm16",
-    "lem36",
-    "thm37",
-    "lem40",
-    "lem44",
-    "thm45",
-    "lem50",
-    "lem54",
-    "thm55",
-)
-
-
 class _Views:
     """What the suites observe of one closed term of type (nat -> nat) -> nat,
     each view built on first use and kept for all the points checked."""
@@ -457,20 +444,23 @@ def _thm55(v: _Views, _: None) -> Optional[str]:
     return None
 
 
-#: Each term suite as one check (views, point) -> failure detail or None.
-_SUITES = {
-    "thm16": _thm16,
-    "thm37": _thm37,
-    "lem40": _pointwise_moduli("encoded"),
-    "lem44": _pointwise_moduli("internal"),
-    "thm45": _thm45,
-    "lem50": _uniform_max_question("encoded"),
-    "lem54": _uniform_max_question("internal"),
-    "thm55": _thm55,
+#: Each suite as (check, inputs, oracles per input) of the default selftest
+#: run.  A check maps a term's views and a point to a failure detail or None.
+#: A suite whose default oracle count is 0 checks the whole tree, at the one
+#: point None per term, whatever oracle count a run asks for.  lem36 checks
+#: generated trees, not terms, so its row holds only its scale.
+SUITES = {
+    "thm16": (_thm16, 500, 20),
+    "lem36": (None, 200, 20),
+    "thm37": (_thm37, 500, 20),
+    "lem40": (_pointwise_moduli("encoded"), 500, 20),
+    "lem44": (_pointwise_moduli("internal"), 500, 20),
+    "thm45": (_thm45, 500, 10),
+    "lem50": (_uniform_max_question("encoded"), 500, 0),
+    "lem54": (_uniform_max_question("internal"), 500, 0),
+    "thm55": (_thm55, 500, 0),
 }
-
-#: Suites whose point is None: they observe the whole tree once per term.
-_UNIFORM = frozenset({"lem50", "lem54", "thm55"})
+SUITE_IDS = tuple(SUITES)
 
 
 def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Report]":
@@ -478,7 +468,7 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
     over the terms and report in that order.  Each suite checks a prefix of one
     oracle list and of one term list, extra terms first; lem36's are trees."""
     for which in scales:
-        if which not in SUITE_IDS:
+        if which not in SUITES:
             raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
     n_oracles = max((k for _, k in scales.values()), default=0)
     oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
@@ -497,7 +487,7 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
         report.seconds = time.perf_counter() - started
     terms = list(extra_terms)
     suites = [
-        (reports[which], _SUITES[which], len(terms) + n, [None] if which in _UNIFORM else oracles[:k])
+        (reports[which], SUITES[which][0], len(terms) + n, oracles[:k] if SUITES[which][2] else [None])
         for which, (n, k) in scales.items()
         if which != "lem36"
     ]

@@ -140,6 +140,54 @@ def test_eval_negative_oracle_exits_1(capsys):
     assert "natural" in err
 
 
+@pytest.mark.parametrize("spec", ["9" * 5000 + ";default=0", "default=" + "9" * 5000])
+def test_an_oracle_entry_past_the_int_digit_limit_is_a_bad_spec(capsys, spec):
+    # int() refused it with CPython's own advice to call sys.set_int_max_str_digits()
+    code, out, err = run(capsys, "eval", corpus("a4"), "--oracle", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad oracle spec")
+    assert err.endswith(f": entries must have at most {sys.get_int_max_str_digits()} digits\n")
+
+
+#: Arguments after the term file of each command that loads one.
+COMMAND_ARGS = {
+    "check": [],
+    "eval": ["--oracle", "default=0"],
+    "tree": [],
+    "translate": ["--motive", "nat"],
+    "modulus": ["--oracle", "default=0"],
+    "umodulus": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [([command, *extra], 1) for command, extra in COMMAND_ARGS.items()] + [(["eval", "--oracle", "default=0", "--trace"], 2)],
+    ids=[*COMMAND_ARGS, "eval-trace"],
+)
+def test_each_command_walks_the_loaded_terms_types_once(capsys, monkeypatch, argv, walks):
+    # loading only parses; the command's own entry typechecks, and eval --trace
+    # also builds the tree, whose entry checks the type again
+    from systemt import syntax
+
+    loaded, roots = [], []
+    parse, infer = cli.parse, syntax._infer
+    monkeypatch.setattr(cli, "parse", lambda text: loaded.append(parse(text)) or loaded[0])
+    monkeypatch.setattr(syntax, "_infer", lambda t, ctx: roots.append(t is loaded[0]) or infer(t, ctx))
+    code, _, _ = run(capsys, argv[0], corpus("aa2"), *argv[1:])
+    assert code == 0
+    assert roots.count(True) == walks
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_every_command_reports_a_type_error_at_its_position(tmp_path, capsys, command):
+    bad = tmp_path / "bad.t"
+    bad.write_text("fun (a : nat -> nat) ->\n  succ a")
+    code, out, err = run(capsys, command, str(bad), *COMMAND_ARGS[command])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 2:8: expected nat")
+
+
 #: Output on the literal 1000, which the translation recurses through once
 #: per succ.
 DEEP_LITERAL_OUT = {

@@ -374,9 +374,9 @@ def test_generated_trees_reach_leaves():
 
 
 def test_tree_sexpr_shapes():
-    assert tree_sexpr(Leaf(5)) == "(leaf 5)"
+    assert tree_sexpr(Leaf(5), answers=2, depth=64) == "(leaf 5)"
     d = Branch(4, lambda y: Leaf(y))
-    assert tree_sexpr(d, answers=2) == "(branch 4 (0 (leaf 0)) (1 (leaf 1)))"
+    assert tree_sexpr(d, answers=2, depth=64) == "(branch 4 (0 (leaf 0)) (1 (leaf 1)))"
     assert tree_sexpr(d, answers=2, depth=0) == "(...)"
     deep = Branch(1, lambda y: Branch(2, lambda z: Leaf(z)))
     assert tree_sexpr(deep, answers=1, depth=1) == "(branch 1 (0 (...)))"

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,12 @@ def test_corpus_is_ten_closed_baire_functionals():
     assert len(CORPUS) == 10
     for t in corpus_terms():
         assert infer(t, ()) == BAIRE_FN
+
+
+def test_corpus_files_hold_the_harness_corpus():
+    # corpus/*.t feeds the CLI tests and the translate goldens; CORPUS feeds selftest
+    files = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.t"))
+    assert {f.stem: f.read_text(encoding="utf-8").rstrip("\n") for f in files} == dict(CORPUS)
 
 
 def test_agreeing_oracle_agrees_on_prefix():
@@ -305,6 +312,13 @@ def test_one_pass_gives_each_suite_its_own_scale():
         ("thm45", n), ("lem36", 12), ("thm16", (n + 3) * 2), ("lem50", n + 5)
     ]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("suite", ["lem50", "lem54", "thm55"])
+def test_a_whole_tree_suite_runs_one_case_per_term_whatever_its_oracle_count(suite):
+    # the rule is the default's: an override of 4 oracles still checks each tree once
+    (report,) = run_suites({suite: (3, 4)}, GenConfig(seed=5))
+    assert (report.cases, report.passed) == (3, True)
 
 
 def test_run_suites_rejects_unknown_id():

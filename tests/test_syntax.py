@@ -213,6 +213,12 @@ def test_typecheck_rec_step_mismatch():
         typecheck(parse("rec[nat] (fun (n : nat) -> n) zero 3"))
 
 
+def test_infer_refuses_an_index_past_the_context():
+    # a TypeCheckError, not the IndexError of reading the context at index 1
+    with pytest.raises(TypeCheckError, match="index 1 in context of length 1"):
+        infer(Var(1), (NAT,))
+
+
 def test_typecheck_unbound_variable():
     with pytest.raises(UnboundVariable) as e:
         typecheck(parse("fun (a : nat) -> b"))
@@ -418,6 +424,21 @@ def test_pretty_zero_and_numerals():
 def test_pretty_lambda_roundtrip_shape():
     t = typecheck(parse("fun (a : nat -> nat) -> a (a 2)"))
     assert pretty(t) == "fun (a : nat -> nat) -> a (a 2)"
+
+
+def test_pretty_names_binders_past_the_alphabet():
+    # names wrap after z: the 27th binder is a1, and the text parses back
+    t = Var(1)
+    for _ in range(28):
+        t = Lam(NAT, t)
+    text = pretty(t)
+    assert text.endswith("fun (z : nat) -> fun (a1 : nat) -> fun (b1 : nat) -> a1")
+    assert parse(text) == t
+
+
+def test_pretty_refuses_a_free_index():
+    with pytest.raises(ValueError, match="free index 1 has no name"):
+        pretty(Lam(NAT, Var(1)))
 
 
 def test_format_ty():
