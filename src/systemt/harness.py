@@ -470,7 +470,7 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
     for which in scales:
         if which not in SUITES:
             raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
-    n_oracles = max((k for _, k in scales.values()), default=0)
+    n_oracles = max((k for which, (_, k) in scales.items() if SUITES[which][2]), default=0)
     oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
     reports = {which: Report(suite=which, cases=0) for which in scales}
     if "lem36" in scales:  # running a tree = the internal dialogue operator on its encoding

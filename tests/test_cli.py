@@ -162,7 +162,8 @@ COMMAND_ARGS = {
 
 @pytest.mark.parametrize(
     "argv, walks",
-    [([command, *extra], 1) for command, extra in COMMAND_ARGS.items()] + [(["eval", "--oracle", "default=0", "--trace"], 2)],
+    [([command, *extra], 1) for command, extra in COMMAND_ARGS.items()]
+    + [(["eval", "--oracle", "default=0", "--trace"], 2)],
     ids=[*COMMAND_ARGS, "eval-trace"],
 )
 def test_each_command_walks_the_loaded_terms_types_once(capsys, monkeypatch, argv, walks):

@@ -315,10 +315,13 @@ def test_one_pass_gives_each_suite_its_own_scale():
 
 
 @pytest.mark.parametrize("suite", ["lem50", "lem54", "thm55"])
-def test_a_whole_tree_suite_runs_one_case_per_term_whatever_its_oracle_count(suite):
-    # the rule is the default's: an override of 4 oracles still checks each tree once
+def test_a_whole_tree_suite_runs_one_case_per_term_whatever_its_oracle_count(monkeypatch, suite):
+    # the rule is the default's: an override of 4 oracles still checks each tree
+    # once, and draws no oracle it would not use
+    drawn = []
+    monkeypatch.setattr(harness, "gen_oracle", drawn.append)
     (report,) = run_suites({suite: (3, 4)}, GenConfig(seed=5))
-    assert (report.cases, report.passed) == (3, True)
+    assert (report.cases, report.passed, drawn) == (3, True, [])
 
 
 def test_run_suites_rejects_unknown_id():
