@@ -15,8 +15,8 @@ from dataclasses import asdict
 
 from . import church, harness, moduli
 from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, dieval, require_baire_fn, tree_sexpr
-from .set_model import apply_set, eval_set, lift_oracle
-from .syntax import App, NAT, ParseError, Term, TypeCheckError, UnboundVariable, format_ty, infer, parse, pretty
+from .set_model import eval_set
+from .syntax import NAT, ParseError, Term, TypeCheckError, UnboundVariable, format_ty, infer, parse, pretty
 
 #: Per-suite (terms-or-trees, oracles) scales of the default selftest run.
 SELFTEST_SCALES = {suite: (n, k) for suite, (_, n, k) in harness.SUITES.items()}
@@ -42,7 +42,7 @@ def cmd_eval(args) -> int:
     alpha = Oracle.from_spec(args.oracle)
     asked, path = [], []
     oracle = harness.recording(alpha, asked) if args.trace else alpha
-    print(apply_set(eval_set(term), lift_oracle(oracle)).value)
+    print(eval_set(term)(oracle))  # an Oracle answers only naturals
     if not args.trace:
         return 0
     dieval(dialogue_tree(term), harness.recording(alpha, path))
@@ -68,17 +68,17 @@ def cmd_translate(args) -> int:
 
 def cmd_modulus(args) -> int:
     term = _load_term(args.file)
-    mod_v = eval_set(App(moduli.modulus_int(), church.dialogue_tree_int(term, NAT)))
+    mod_v = eval_set(moduli.modulus_int())(eval_set(church.dialogue_tree_int(term, NAT)))
     alpha = Oracle.from_spec(args.oracle)
-    m = apply_set(mod_v, lift_oracle(alpha)).value
+    m = mod_v(alpha)
     print(m)
     if args.verify:
         tv = eval_set(term)
-        want = apply_set(tv, lift_oracle(alpha)).value
+        want = tv(alpha)
         rng = random.Random(args.seed)
         for i in range(args.verify):
             beta = harness.agreeing_oracle(alpha, m, rng)
-            got = apply_set(tv, lift_oracle(beta)).value
+            got = tv(beta)
             if got != want:
                 print(f"disagreement at {beta.spec()}: {got} != {want}")
                 return 2
@@ -88,7 +88,7 @@ def cmd_modulus(args) -> int:
 
 def cmd_umodulus(args) -> int:
     term = _load_term(args.file)
-    print(eval_set(App(moduli.modulus_uni_int(), church.dialogue_tree_int(term, NAT))).value)
+    print(eval_set(moduli.modulus_uni_int())(eval_set(church.dialogue_tree_int(term, NAT))))
     return 0
 
 

@@ -20,6 +20,8 @@ from .set_model import Model, compile_term
 from .syntax import NAT, Arrow, Term, Ty, arrow, format_ty, infer
 
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
+#: The most nodes `tree_sexpr` prints; 64 nested queries at depth 64 would print 2^65 - 1.
+PRINT_NODES = 1 << 16
 
 
 class TypeMismatch(Exception):
@@ -73,6 +75,7 @@ class Oracle:
 
     @classmethod
     def from_spec(cls, text: str) -> "Oracle":
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         body = text.strip()
         if ";" in body:
             head, _, tail = body.partition(";")
@@ -80,18 +83,18 @@ class Oracle:
             head, tail = ("", body) if "default=" in body else (body, "")
         tail = tail.strip()
         if not tail.startswith("default="):
-            raise ValueError(f"bad oracle spec {text!r}: missing default=")
+            raise ValueError(f"bad oracle spec {shown}: missing default=")
         # an empty entry stays, so it is refused: dropping it would shift the rest
         entries = [part.strip() for part in head.split(",")] if head.strip() else []
         parts = [*entries, tail[len("default="):].strip()]
         # int() also reads "1_0", "+5" and non-ASCII digits, which no term may spell
         if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValueError(f"bad oracle spec {text!r}: entries must be naturals in decimal digits")
+            raise ValueError(f"bad oracle spec {shown}: entries must be naturals in decimal digits")
         try:
             *prefix, default = map(int, parts)
         except ValueError:  # all digits, so int() refused only their number
             limit = sys.get_int_max_str_digits()
-            raise ValueError(f"bad oracle spec {text!r}: entries must have at most {limit} digits") from None
+            raise ValueError(f"bad oracle spec {shown}: entries must have at most {limit} digits") from None
         return cls(tuple(prefix), default)
 
 
@@ -178,14 +181,19 @@ def dialogue_tree(term: Term) -> DTree:
 def tree_sexpr(tree: DTree, answers: int, depth: int) -> str:
     """Render a tree over the answer alphabet {0..answers-1}, cutting at depth.
 
-    Subtrees past the depth bound are replaced by the marker (...).
+    Subtrees past the depth bound are replaced by the marker (...).  A print
+    of more than PRINT_NODES nodes, markers included, raises ValueError.
     """
-    if isinstance(tree, Leaf):
-        return f"(leaf {tree.value})"
-    if depth <= 0:
-        return "(...)"
-    kids = " ".join(
-        f"({a} {tree_sexpr(tree.children(a), answers, depth - 1)})"
-        for a in range(answers)
-    )
-    return f"(branch {tree.query} {kids})"
+    allowed = iter(range(PRINT_NODES))  # one item for each node that may print
+
+    def sexpr(tree: DTree, depth: int) -> str:
+        if next(allowed, None) is None:
+            raise ValueError(f"the tree has more than {PRINT_NODES} nodes to print")
+        if isinstance(tree, Leaf):
+            return f"(leaf {tree.value})"
+        if depth <= 0:
+            return "(...)"
+        kids = " ".join(f"({a} {sexpr(tree.children(a), depth - 1)})" for a in range(answers))
+        return f"(branch {tree.query} {kids})"
+
+    return sexpr(tree, depth)

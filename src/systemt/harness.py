@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 from . import church, dialogue, moduli
 from .dialogue import BAIRE_FN, Branch, DTree, Leaf, Oracle
-from .set_model import eval_set, lift_oracle
+from .set_model import eval_set
 from .syntax import (
     NAT,
     SUBTERMS,
@@ -329,7 +329,7 @@ class _Views:
         return moduli.max_bool_question(moduli.prune(self.tree))
 
     def value_at(self, alpha: Oracle) -> int:
-        return self.value(lift_oracle(alpha))
+        return self.value(alpha)
 
 
 def _differ(lhs: int, rhs: int, detail: str) -> Optional[str]:
@@ -341,7 +341,7 @@ def _thm16(v: _Views, alpha: Oracle) -> Optional[str]:
 
 
 def _thm37(v: _Views, alpha: Oracle) -> Optional[str]:
-    rhs = v.internal_dialogue(lift_oracle(alpha))
+    rhs = v.internal_dialogue(alpha)
     return _differ(v.value_at(alpha), rhs, "set model {} != internal dialogue {}")
 
 
@@ -350,14 +350,14 @@ def _pointwise_moduli(tree_view: str):
     the internal ones, run on the encoded or on the internal tree."""
 
     def check(v: _Views, alpha: Oracle) -> Optional[str]:
-        tree, a = getattr(v, tree_view), lift_oracle(alpha)
+        tree = getattr(v, tree_view)
         return _differ(
             moduli.max_question(v.tree, alpha),
-            eval_set(moduli.max_question_int())(tree)(a),
+            eval_set(moduli.max_question_int())(tree)(alpha),
             "max question: external {} != internal {}",
         ) or _differ(
             moduli.modulus(v.tree, alpha),
-            eval_set(moduli.modulus_int())(tree)(a),
+            eval_set(moduli.modulus_int())(tree)(alpha),
             "modulus: external {} != internal {}",
         )
 
@@ -393,9 +393,9 @@ def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
     it, so if its run at alpha asks only indices below m, every such oracle
     answers each question alike, replays the run and gives the same value: the
     case passes by replay.  Otherwise 50 agreeing oracles are sampled."""
-    m = eval_set(moduli.modulus_int())(v.internal)(lift_oracle(alpha))
+    m = eval_set(moduli.modulus_int())(v.internal)(alpha)
     asked: "list[int]" = []
-    want = v.value(lift_oracle(recording(alpha, asked)))
+    want = v.value(recording(alpha, asked))
     if max(asked, default=-1) < m:
         return _REPLAYED
     rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
@@ -480,7 +480,7 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
             internal = eval_set(church.dialogue_f_int())(church.encode(d, BAIRE_FN))
             for alpha in oracles[:k]:
                 report.cases += 1
-                lhs, rhs = dialogue.dieval(d, alpha), internal(lift_oracle(alpha))
+                lhs, rhs = dialogue.dieval(d, alpha), internal(alpha)
                 if lhs != rhs:
                     detail = f"dieval {lhs} != internal dialogue {rhs}"
                     report.failures.append(Failure(None, alpha.spec(), detail))

@@ -25,10 +25,8 @@ def max_question(tree: DTree, answers) -> int:
     """Largest query met along the path the answer source selects; 0 at a leaf."""
     best = 0
     while isinstance(tree, Branch):
-        q = tree.query
-        if q > best:
-            best = q
-        tree = tree.children(answers(q))
+        best = max(best, tree.query)
+        tree = tree.children(answers(tree.query))
     return best
 
 
@@ -86,10 +84,8 @@ def max_bool_question(tree: DTree) -> int:
     while stack:
         t = stack.pop()
         if isinstance(t, Branch):
-            if t.query > best:
-                best = t.query
-            stack.append(t.children(False))
-            stack.append(t.children(True))
+            best = max(best, t.query)
+            stack += (t.children(False), t.children(True))
     return best
 
 

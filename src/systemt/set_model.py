@@ -84,8 +84,8 @@ def apply_set(fn: Callable, arg) -> Union[NatV, Callable]:
 
 
 def lift_oracle(alpha) -> Callable[[int], int]:
-    """Wrap a point of the Baire space, an Oracle or any function on the
-    naturals, as a value of type nat -> nat whose answers must be naturals."""
+    """Wrap any function on the naturals as a value of type nat -> nat whose
+    answers must be naturals; an Oracle, which holds only naturals, needs none."""
     return lambda n: _natural(alpha(n))
 
 

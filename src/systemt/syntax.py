@@ -222,7 +222,8 @@ def _is_word(tok: str) -> bool:
 
 
 class _Parser:
-    """Recursive descent over the token strings; self.i indexes the next one.
+    """Recursive descent, one method per production of the README grammar: ty,
+    term, and atom for a term in argument position; self.i indexes the next token.
 
     self.scope holds the names bound around the next token, innermost first,
     so a name's de Bruijn index is its position there; a name outside it
@@ -261,29 +262,29 @@ class _Parser:
     # -- types ---------------------------------------------------------
 
     def ty(self) -> Ty:
-        left = self.ty_atom()
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "nat":
+            left = NAT
+        elif tok == "(":
+            left = self.ty()
+            self.expect(")")
+        else:
+            raise ParseError(*self.pos(self.i - 1), "a type")
         if self.toks[self.i] == "->":
             self.i += 1
             return Arrow(left, self.ty())
         return left
 
-    def ty_atom(self) -> Ty:
-        tok = self.toks[self.i]
-        self.i += 1
-        if tok == "nat":
-            return NAT
-        if tok == "(":
-            inner = self.ty()
-            self.expect(")")
-            return inner
-        raise ParseError(*self.pos(self.i - 1), "a type")
-
     # -- terms ---------------------------------------------------------
 
     def term(self) -> Term:
-        start = self.i
-        if self.toks[start] != "fun":
-            return self.app()
+        start, toks = self.i, self.toks
+        if toks[start] != "fun":  # an application spine: an atom, then argument atoms
+            head = self.atom()
+            while toks[self.i] not in _APP_ENDS:
+                head = App(head, self.atom(), head.pos)
+            return head
         self.i += 1
         self.expect("(")
         name = self.toks[self.i]
@@ -299,13 +300,6 @@ class _Parser:
         body = self.term()
         self.scope = outer
         return Lam(dom, body, self.pos(start))
-
-    def app(self) -> Term:
-        head = self.atom()
-        toks = self.toks
-        while toks[self.i] not in _APP_ENDS:
-            head = App(head, self.atom(), head.pos)
-        return head
 
     def atom(self) -> Term:
         i = self.i
@@ -328,9 +322,9 @@ class _Parser:
             step, base = self.atom(), self.atom()
             return Rec(motive, step, base, self.atom(), self.pos(i))
         if tok.isdecimal():
+            n = int(tok[-6:])
             # any nonzero digit, of any script, before the last six tops the six-digit cap
-            n = int(tok[-6:]) if not any(map(int, tok[:-6])) else _LITERAL_CAP + 1
-            if n > _LITERAL_CAP:
+            if n > _LITERAL_CAP or any(map(int, tok[:-6])):
                 raise ParseError(*self.pos(i), f"a numeral of at most {_LITERAL_CAP}")
             return Succ(numeral(n - 1), self.pos(i)) if n else Zero(self.pos(i))
         if tok in _KEYWORDS or not _is_word(tok):

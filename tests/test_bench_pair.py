@@ -34,6 +34,43 @@ def test_iqr_of_one_run_is_zero():
     assert bench_pair.iqr([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
 
 
+def _metric(better, base_median, head_median, base_iqr, head_won, pairs=10):
+    return {"better": better, "base_median": base_median, "head_median": head_median,
+            "base_iqr": base_iqr, "head_won": head_won, "pairs": pairs}
+
+
+@pytest.mark.parametrize(
+    "metric, bound, want",
+    [
+        # nine of ten pairs won and the medians 20 apart against an IQR of 10
+        (_metric("higher", 100.0, 120.0, 10.0, 9), 0.24, "gain"),
+        (_metric("lower", 4.0, 3.0, 0.5, 10), 0.24, "gain"),
+        # eight of ten pairs won is no gain, however far the medians moved
+        (_metric("higher", 100.0, 120.0, 10.0, 8), 0.24, "within"),
+        # nine of ten pairs won, but the medians move no more than the IQR
+        (_metric("higher", 100.0, 110.0, 10.0, 9), 0.24, "within"),
+        # worse by 25% against a 24% bound, in each direction
+        (_metric("higher", 100.0, 75.0, 1.0, 0), 0.24, "worse"),
+        (_metric("lower", 4.0, 5.0, 0.1, 0), 0.24, "worse"),
+        # worse, but by no more than the bound
+        (_metric("higher", 100.0, 80.0, 1.0, 0), 0.24, "within"),
+        (_metric("lower", 20.0, 24.0, 0.1, 0), 0.2, "within"),
+        (_metric("lower", 20.0, 24.5, 0.1, 0), 0.2, "worse"),
+    ],
+)
+def test_verdict_is_gain_worse_or_within(metric, bound, want):
+    assert bench_pair.verdict(metric, bound) == want
+
+
+def test_source_lines_counts_each_package_module_and_the_total(tmp_path):
+    package = tmp_path / "src" / "systemt"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
+    (package / "notes.txt").write_text("\n\n\n")
+    assert bench_pair.source_lines(tmp_path) == {"a.py": 2, "b.py": 0, "total": 2}
+
+
 def test_layer_shares_count_only_timed_layers_largest_first():
     units = {"syntax.parse_s": "s", "syntax.pretty_s": "s", "syntax.fail": "count", "idle_s": "s"}
     metrics = {"syntax.parse_s": 3.0, "syntax.pretty_s": 1.0, "syntax.fail": 397, "idle_s": 0.0}
@@ -63,10 +100,11 @@ def test_wrong_runs_lists_each_run_not_correct_or_with_failed_calls():
 
 def test_main_exits_1_after_writing_a_report_with_a_wrong_run(tmp_path, monkeypatch):
     spec = {"command": [], "run_seconds": 1, "workloads": [{"name": "query"}],
-            "end_to_end": [{"name": "cases_per_s", "better": "higher"}], "per_layer": []}
+            "end_to_end": [{"name": "cases_per_s", "better": "higher", "bound": 0.24}], "per_layer": []}
 
     def unpack(ref, into):
-        into.mkdir()
+        (into / "src" / "systemt").mkdir(parents=True)
+        (into / "src" / "systemt" / "m.py").write_text("1\n" * (3 if into.name == "head" else 5))
         (into / "BENCHMARK.json").write_text(json.dumps(spec))
         return into
 
@@ -78,7 +116,10 @@ def test_main_exits_1_after_writing_a_report_with_a_wrong_run(tmp_path, monkeypa
     monkeypatch.setattr(bench_pair, "run_bench", run_bench)
     out = tmp_path / "report.json"
     assert bench_pair.main(["--base", "HEAD~1", "--seeds", "1,2", "--out", str(out)]) == 1
-    assert json.loads(out.read_text())["wrong_runs"] == ["query 2 head: correct False, failed 0"]
+    report = json.loads(out.read_text())
+    assert report["wrong_runs"] == ["query 2 head: correct False, failed 0"]
+    assert report["workloads"]["query"]["summary"]["cases_per_s"]["verdict"] == "within"
+    assert report["source_lines"] == {"base": {"m.py": 5, "total": 5}, "head": {"m.py": 3, "total": 3}}
     monkeypatch.setattr(bench_pair, "run_bench", lambda *a: {**run_bench(*a), "correct": True})
     assert bench_pair.main(["--base", "HEAD~1", "--seeds", "1,2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["wrong_runs"] == []

@@ -147,6 +147,7 @@ def test_an_oracle_entry_past_the_int_digit_limit_is_a_bad_spec(capsys, spec):
     assert (code, out) == (1, "")
     assert err.startswith("error: bad oracle spec")
     assert err.endswith(f": entries must have at most {sys.get_int_max_str_digits()} digits\n")
+    assert len(err.encode()) < 200  # a cut of the spec, not all 5000 digits
 
 
 #: Arguments after the term file of each command that loads one.
@@ -332,6 +333,13 @@ def test_tree_golden_example(capsys):
     assert out == "(branch 4 (0 (leaf 0)) (1 (leaf 1)))\n"
 
 
+def test_tree_of_more_nodes_than_its_budget_exits_1(tmp_path, capsys):
+    # 100 nested queries print a full binary tree of depth 64: 2^65 - 1 nodes
+    f = tmp_path / "chain.t"
+    f.write_text("fun (a : nat -> nat) -> " + "a (" * 100 + "0" + ")" * 100)
+    assert run(capsys, "tree", str(f)) == (1, "", "error: the tree has more than 65536 nodes to print\n")
+
+
 def test_tree_depth_truncation(capsys):
     code, out, _ = run(capsys, "tree", corpus("aa2"), "--answers", "2", "--depth", "1")
     assert code == 0
@@ -352,6 +360,17 @@ def test_modulus_verify_reports_agreement(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "3"
     assert "verified: 10 sampled points" in lines[1]
+
+
+def test_modulus_verify_reports_a_disagreement_and_exits_2(capsys, monkeypatch):
+    from systemt import moduli
+    from systemt.church import closed
+
+    # a modulus of 0 claims the value reads no index, so an agreeing point differs
+    monkeypatch.setattr(moduli, "modulus_int", lambda: closed("fun (d : {T}) -> fun (a : nat -> nat) -> zero"))
+    code, out, _ = run(capsys, "modulus", corpus("aa2"), "--oracle", "0,1,2,3;default=0", "--verify", "50")
+    assert code == 2
+    assert out.splitlines() == ["0", "disagreement at 9,5,3,8,6;default=2: 8 != 2"]
 
 
 def test_umodulus_anchor(capsys):

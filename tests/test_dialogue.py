@@ -380,3 +380,19 @@ def test_tree_sexpr_shapes():
     assert tree_sexpr(d, answers=2, depth=0) == "(...)"
     deep = Branch(1, lambda y: Branch(2, lambda z: Leaf(z)))
     assert tree_sexpr(deep, answers=1, depth=1) == "(branch 1 (0 (...)))"
+
+
+def test_tree_sexpr_refuses_a_print_past_its_node_budget(monkeypatch):
+    from systemt import dialogue
+
+    endless = Branch(0, lambda a: endless)
+    monkeypatch.setattr(dialogue, "PRINT_NODES", 3)
+    # depth 2 over one answer prints two branches and the (...) marker
+    assert tree_sexpr(endless, answers=1, depth=2) == "(branch 0 (0 (branch 0 (0 (...)))))"
+    with pytest.raises(ValueError, match="more than 3 nodes to print"):
+        tree_sexpr(endless, answers=1, depth=3)
+    monkeypatch.undo()
+    # a full binary tree cut at depth 15 prints 2^16 - 1 nodes, at depth 16 twice as many
+    assert tree_sexpr(endless, answers=2, depth=15).count("(branch 0") == 2**15 - 1
+    with pytest.raises(ValueError, match=f"more than {2**16} nodes to print"):
+        tree_sexpr(endless, answers=2, depth=16)

@@ -145,10 +145,12 @@ def test_parse_trailing_blanks_in_linear_time():
 #: The deepest nesting of each kind that parse takes at the default recursion
 #: limit, counted from the bottom of a fresh thread's stack.
 PARSE_DEPTHS = {
-    "succ": (247, lambda n: "fun (a : nat -> nat) -> " + "succ (" * n + "a 0" + ")" * n),
-    "app": (329, lambda n: "fun (a : nat -> nat) -> " + "a (" * n + "0" + ")" * n),
+    "succ": (330, lambda n: "fun (a : nat -> nat) -> " + "succ (" * n + "a 0" + ")" * n),
+    "app": (495, lambda n: "fun (a : nat -> nat) -> " + "a (" * n + "0" + ")" * n),
     "fun": (989, lambda n: "fun (x : nat) -> " * n + "x"),
     "arrow": (991, lambda n: "fun (f : " + "nat -> " * n + "nat) -> f"),
+    "type-parens": (993, lambda n: "fun (f : " + "(" * n + "nat" + ")" * n + ") -> f"),
+    "term-parens": (495, lambda n: "fun (a : nat) -> " + "(" * n + "a" + ")" * n),
 }
 
 
@@ -255,6 +257,7 @@ def test_type_errors_carry_position(text, error, where):
     with pytest.raises(error) as e:
         typecheck(parse(text))
     assert e.value.location == where
+    assert str(e.value).startswith(f"{where[0]}:{where[1]}: ")
 
 
 def test_parse_without_defs_leaves_a_constant_name_unbound():

@@ -11,10 +11,12 @@ one after the other; which side goes first alternates from pair to pair, so a
 drift in machine speed falls on both.
 Then each side runs once with `--trace 1` at the first seed, for the per-layer
 split.  The output file holds, per workload and end-to-end metric, both sides'
-median, the base's interquartile range, the relative change and the number of
-pairs the head won, with every run's raw numbers and the traced metrics and
-layer shares of both sides.  A run that printed `correct: false` or
-`failed > 0` is listed under "wrong_runs", and the script then exits 1.
+median, the base's interquartile range, the relative change, the number of
+pairs the head won and a verdict ("gain", "worse" or "within"), with every
+run's raw numbers and the traced metrics and layer shares of both sides.  It
+also holds each side's line counts of src/systemt/*.py, as `wc -l` gives them.
+A run that printed `correct: false` or `failed > 0` is listed under
+"wrong_runs", and the script then exits 1.
 Standard library only.
 """
 
@@ -85,6 +87,24 @@ def summarize(pairs: "list[tuple[dict, dict]]", better: "dict[str, str]") -> dic
     return summary
 
 
+def verdict(metric: dict, bound: float) -> str:
+    """"gain" if the head won at least nine tenths of the pairs and its median
+    is better than the base's by more than the base's IQR; "worse" if its
+    median is worse by more than bound, a fraction of the base's median;
+    else "within".  metric is one entry of summarize's result."""
+    sign = 1 if metric["better"] == "higher" else -1
+    moved = sign * (metric["head_median"] - metric["base_median"])
+    if metric["head_won"] >= 0.9 * metric["pairs"] and moved > metric["base_iqr"]:
+        return "gain"
+    return "worse" if -moved > bound * abs(metric["base_median"]) else "within"
+
+
+def source_lines(checkout: Path) -> dict:
+    """The line count of each src/systemt/*.py in checkout, and their total."""
+    counts = {path.name: path.read_bytes().count(b"\n") for path in sorted(checkout.glob("src/systemt/*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def layer_shares(metrics: dict, units: "dict[str, str]") -> dict:
     """Each timed layer's share of the traced layer time, largest first."""
     timed = {name: v for name, v in metrics.items() if units.get(name) == "s" and v > 0}
@@ -119,9 +139,11 @@ def main(argv=None) -> int:
         sides = {"base": unpack(args.base, Path(tmp, "base")), "head": unpack(args.head, Path(tmp, "head"))}
         spec = json.loads((sides["head"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         units = {m["name"]: m["unit"] for m in spec["per_layer"]}
         workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-        report = {"base": args.base, "head": args.head, "workloads": {}}
+        report = {"base": args.base, "head": args.head, "workloads": {},
+                  "source_lines": {side: source_lines(path) for side, path in sides.items()}}
         for workload in workloads:
             runs = []
             for k, seed in enumerate(seeds):
@@ -131,8 +153,11 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} cases_per_s {got[side]['metrics'].get('cases_per_s')}" for side in order), flush=True)
             traced = {side: run_bench(sides[side], spec, workload, seeds[0], 1) for side in ("base", "head")}
+            summary = summarize([(r["base"]["metrics"], r["head"]["metrics"]) for r in runs], better)
+            for name, metric in summary.items():
+                metric["verdict"] = verdict(metric, bounds[name])
             report["workloads"][workload] = {
-                "summary": summarize([(r["base"]["metrics"], r["head"]["metrics"]) for r in runs], better),
+                "summary": summary,
                 "runs": runs,
                 "trace": {side: {**t, "layer_shares": layer_shares(t["metrics"], units)} for side, t in traced.items()},
             }
