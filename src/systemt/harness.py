@@ -18,9 +18,12 @@ at each use, so a test can swap in a faulty one; set_model compiles each
 once.  `run_suites` runs any rows in one pass over the terms: each term's
 views are built once and shared by every suite that checks it, and
 `run_suite` is its one-suite case.  A suite's `seconds` is the time spent in
-its own checks, including the views it was first to need.  A failing term is
-shrunk by re-running the same check on fresh views of every candidate.  lem36
-observes generated trees, so it has no check and nothing to shrink.
+its own checks, including the views it was first to need.  A check that raises
+fails its case with the detail "raised <Class>: <message>"; RecursionError, a
+limit of the caller's stack, propagates.  A failing term is shrunk by re-running
+the same check on fresh views of every candidate while it fails the same way: a
+mismatch, or a raise of the same class.  lem36 observes generated trees, so it
+has no check and nothing to shrink.
 
 thm45 decides most cases by replay, reading Theorem 4.5 operationally as in
 effectful forcing: the compiled set-model value is deterministic and sees the
@@ -274,18 +277,14 @@ def _shrink_candidates(term: Term, ctx=()):
 
 
 def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
-    """Greedily replace subterms with canonical inhabitants while the failure
-    reproduces.  Candidates are well-typed by construction; nothing else is
-    assumed about them."""
+    """Greedily replace subterms with canonical inhabitants while still_fails
+    holds.  Candidates are well-typed by construction; still_fails decides what
+    a candidate that raises means, and what it raises itself propagates."""
     improved = True
     while improved:
         improved = False
         for candidate in _shrink_candidates(term):
-            try:
-                failing = still_fails(candidate)
-            except Exception:
-                failing = False
-            if failing:
+            if still_fails(candidate):
                 term = candidate
                 improved = True
                 break
@@ -385,6 +384,20 @@ def recording(alpha: Callable[[int], int], asked: "list[int]") -> Callable[[int]
 
 #: What a check returns for a case it passed by replaying a recorded run.
 _REPLAYED = "replayed"
+
+
+def _verdict(check, v: _Views, alpha: Optional[Oracle]) -> "tuple[Optional[str], Optional[str]]":
+    """How check fails at alpha ("mismatch", "raised <Class>" or None) and its
+    detail: None, _REPLAYED, or for a raise "raised <Class>: <message>".
+    RecursionError measures the caller's stack, not the term: it propagates."""
+    try:
+        detail = check(v, alpha)
+    except RecursionError:
+        raise
+    except Exception as err:
+        raised = f"raised {type(err).__name__}"
+        return raised, f"{raised}: {err}"
+    return (None if detail in (None, _REPLAYED) else "mismatch"), detail
 
 
 def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
@@ -500,13 +513,11 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
             started = time.perf_counter()
             for alpha in points if i < n_terms else ():
                 report.cases += 1
-                detail = check(views, alpha)
+                failing, detail = _verdict(check, views, alpha)
                 if detail is _REPLAYED:
                     report.replayed += 1
-                elif detail is not None:
-                    small = shrink_term(
-                        term, lambda t: check(_Views(t, seed), alpha) not in (None, _REPLAYED)
-                    )
+                elif failing:
+                    small = shrink_term(term, lambda t: _verdict(check, _Views(t, seed), alpha)[0] == failing)
                     spec = None if alpha is None else alpha.spec()
                     report.failures.append(Failure(pretty(small), spec, detail))
             report.seconds += time.perf_counter() - started

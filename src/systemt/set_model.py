@@ -9,9 +9,10 @@ values are dialogue trees.  Following effectful forcing, the two models differ
 only at the ground type, so a `Model` record holds just the four things that
 touch it.  In both models a function value is a plain Python callable, and no
 ground value is callable, so compiled closures pass ground values unboxed: a
-plain `int` here, a `Graft` in the tree model.  `NatV` boxes naturals only
-at the public boundary: `eval_set` returns one for a closed term of type nat,
-and `apply_set` takes a `NatV` or an `int` and returns a `NatV` at ground.
+plain `int` here, a `Graft` in the tree model, and Python's own call raises
+`TypeError` on one applied as a function.  `NatV` boxes naturals only at the
+public boundary: `eval_set` returns one for a closed term of type nat, and
+`apply_set` takes a `NatV` or an `int` and returns a `NatV` at ground.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free
-
-
-class SemanticsBug(AssertionError):
-    """A value was used at the wrong shape; only a typechecker bug can cause this."""
 
 
 @dataclass(frozen=True)
@@ -71,16 +68,14 @@ def natv(n: int) -> NatV:
 
 
 def apply_set(fn: Callable, arg) -> Union[NatV, Callable]:
-    """Apply a function value of the set model (not the tree model) to a
-    NatV, an int or a function value; a negative natural raises ValueError."""
-    if not callable(fn):
-        raise SemanticsBug("a ground value was applied as a function")
+    """Apply a function value of the set model (not the tree model) to a NatV,
+    an int or a function value; a negative natural raises ValueError."""
     if isinstance(arg, NatV):
         arg = arg.value
-    if not callable(arg) and arg < 0:  # inline, not _natural: no frame per call
+    if isinstance(arg, int) and arg < 0:  # inline, not _natural: no frame per call
         raise ValueError(f"naturals are nonnegative, got {arg}")
     out = fn(arg)
-    return out if callable(out) else _SMALL[out] if 0 <= out < 4096 else natv(out)
+    return (_SMALL[out] if 0 <= out < 4096 else natv(out)) if isinstance(out, int) else out
 
 
 def lift_oracle(alpha) -> Callable[[int], int]:
@@ -144,14 +139,7 @@ def compile_term(term: Term, model: Model) -> Compiled:
     if isinstance(term, App):
         fnc = compile_term(term.fn, model)
         argc = compile_term(term.arg, model)
-
-        def apply(env):
-            fn = fnc(env)
-            if not callable(fn):
-                raise SemanticsBug("a ground value was applied as a function")
-            return fn(argc(env))
-
-        return apply
+        return lambda env: fnc(env)(argc(env))  # the function first, then its argument
     if isinstance(term, Rec):
         return model.rec(term.motive, compile_term(term.arg, model), _compile_iterate(term, model))
     raise TypeError(f"not a term: {term!r}")

@@ -2,6 +2,11 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -123,3 +128,75 @@ def test_main_exits_1_after_writing_a_report_with_a_wrong_run(tmp_path, monkeypa
     monkeypatch.setattr(bench_pair, "run_bench", lambda *a: {**run_bench(*a), "correct": True})
     assert bench_pair.main(["--base", "HEAD~1", "--seeds", "1,2", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["wrong_runs"] == []
+
+
+def _fake_checkouts(command, run_seconds, hang_on):
+    """An unpack that writes a checkout holding only BENCHMARK.json, with a
+    file "hang" in the checkouts named in hang_on."""
+    spec = {"command": command, "run_seconds": run_seconds, "workloads": [{"name": "query"}],
+            "end_to_end": [{"name": "cases_per_s", "better": "higher", "bound": 0.24}], "per_layer": []}
+
+    def unpack(ref, into):
+        into.mkdir(parents=True)
+        (into / "BENCHMARK.json").write_text(json.dumps(spec))
+        if into.name in hang_on:
+            (into / "hang").touch()
+        return into
+
+    return unpack
+
+
+#: A benchmark command that sleeps in a checkout holding "hang" and otherwise
+#: prints a correct result at once; it writes its pid to "pid" first.
+_SLEEPER = [sys.executable, "-c", (
+    "import json, os, time\n"
+    "open('pid', 'w').write(str(os.getpid()))\n"
+    "if os.path.exists('hang'): time.sleep(60)\n"
+    "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 1, 'metrics': {'cases_per_s': {'value': 1.0}}}))"
+)]
+
+
+def test_a_run_past_its_time_limit_is_stopped_and_listed_as_wrong(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pair, "unpack", _fake_checkouts(_SLEEPER, 0.1, hang_on={"head"}))
+    out = tmp_path / "report.json"
+    started = time.perf_counter()
+    assert bench_pair.main(["--base", "HEAD~1", "--seeds", "1", "--out", str(out)]) == 1
+    assert time.perf_counter() - started < 30  # the head's two runs are stopped after 1 s each
+    report = json.loads(out.read_text())
+    limit = bench_pair.TIMEOUT_FACTOR * 0.1
+    assert report["wrong_runs"] == [
+        f"query 1 head: correct False, failed None, stopped after {limit} s",
+        f"query trace head: correct False, failed None, stopped after {limit} s",
+    ]
+    # the one pair has a stopped run, so no metric is summarized from it
+    assert report["workloads"]["query"]["summary"] == {}
+    assert report["workloads"]["query"]["runs"][0]["base"]["correct"] is True
+
+
+def test_sigterm_kills_the_running_benchmark_and_removes_the_checkouts(tmp_path):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    driver = subprocess.Popen([sys.executable, "-c", (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('test_bench_pair', {__file__!r})\n"
+        "tests = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tests)\n"
+        "tests.bench_pair.unpack = tests._fake_checkouts(tests._SLEEPER, 60, hang_on={'base', 'head'})\n"
+        "tests.bench_pair.exit_on_sigterm()\n"
+        f"sys.exit(tests.bench_pair.main(['--base', 'a', '--seeds', '1', '--out', {str(tmp_path / 'out.json')!r}]))\n"
+    )], env={**os.environ, "TMPDIR": str(tmp)})
+    try:
+        deadline, pid = time.monotonic() + 30, ""
+        while not pid and time.monotonic() < deadline:
+            time.sleep(0.05)
+            pid = "".join(f.read_text() for f in tmp.glob("*/base/pid"))
+        assert pid, "the benchmark never started"
+        driver.send_signal(signal.SIGTERM)
+        assert driver.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+            driver.wait()
+    assert list(tmp.iterdir()) == []  # both checkouts are gone
+    with pytest.raises(ProcessLookupError):  # and the benchmark, killed and reaped
+        os.kill(int(pid), 0)

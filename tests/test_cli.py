@@ -469,6 +469,30 @@ def test_selftest_failure_exits_2(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_selftest_reports_a_check_that_raises_as_a_failed_case(capsys, monkeypatch):
+    from systemt import church
+    from systemt.syntax import pretty
+
+    original = church.translate
+
+    def planted(term, motive):
+        if "rec[" in pretty(term):
+            raise IndexError("planted")
+        return original(term, motive)
+
+    monkeypatch.setattr(church, "translate", planted)
+    argv = ("selftest", "--suite", "thm37", "--terms", "20", "--oracles", "5")
+    code, out, err = run(capsys, *argv)
+    summary, *fails = out.splitlines()
+    assert (code, err) == (2, "") and "Traceback" not in out
+    assert fails and summary.endswith(f"[{len(fails)} FAILED]")
+    assert all(line.startswith("  FAIL term ") and line.endswith(": raised IndexError: planted") for line in fails)
+    code, out, _ = run(capsys, *argv, "--json")
+    [suite] = json.loads(out)["suites"]
+    assert code == 2 and len(suite["failures"]) == len(fails)
+    assert {failure["detail"] for failure in suite["failures"]} == {"raised IndexError: planted"}
+
+
 def test_selftest_json_reports_each_suite(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "3", "--oracles", "2", "--json")
     assert code == 0

@@ -9,6 +9,7 @@ from systemt.harness import (
     CORPUS,
     GenConfig,
     SUITE_IDS,
+    _shrink_candidates,
     agreeing_oracle,
     canonical,
     corpus_terms,
@@ -200,6 +201,68 @@ def test_corrupted_translation_is_caught_with_shrunk_witness(monkeypatch):
     assert infer(shrunk, ()) == BAIRE_FN
 
 
+def _planted_raise_in_translation(monkeypatch):
+    original = church.translate
+
+    def planted(term, motive):
+        if "rec[" in pretty(term):
+            raise IndexError("planted")
+        return original(term, motive)
+
+    monkeypatch.setattr(church, "translate", planted)
+
+
+def test_a_check_that_raises_fails_its_case_with_a_shrunk_witness(monkeypatch):
+    _planted_raise_in_translation(monkeypatch)
+    report = run_suite("thm37", GenConfig(seed=5), n_terms=20, n_oracles=5, extra_terms=corpus_terms())
+    assert not report.passed
+    for failure in report.failures:
+        assert failure.detail == "raised IndexError: planted"
+        witness = typecheck(parse(failure.term))
+        assert infer(witness, ()) == BAIRE_FN
+        # each witness keeps the rec the raise needs, and no smaller candidate does
+        assert "rec[" in failure.term
+        assert all("rec[" not in pretty(c) for c in _shrink_candidates(witness))
+
+
+@pytest.mark.parametrize(
+    "whole, smaller, shrinks",
+    [
+        (ValueError, KeyError, False),  # a raise of another class is another fault
+        (ValueError, ValueError, True),
+        (ValueError, "a mismatch", False),
+        ("a mismatch", KeyError, False),
+        ("a mismatch", "another mismatch", True),
+    ],
+)
+def test_a_witness_shrinks_only_while_it_fails_the_same_way(monkeypatch, whole, smaller, shrinks):
+    term = corpus_terms()[7]  # addrec
+
+    def check(v, alpha):
+        outcome = whole if v.term == term else smaller
+        if isinstance(outcome, str):
+            return outcome
+        raise outcome("planted")
+
+    monkeypatch.setitem(harness.SUITES, "thm16", (check, 500, 20))
+    [failure] = run_suite("thm16", n_terms=0, n_oracles=1, extra_terms=[term]).failures
+    assert failure.detail == (whole if isinstance(whole, str) else f"raised {whole.__name__}: planted")
+    assert failure.term == pretty(canonical(BAIRE_FN) if shrinks else term)
+
+
+@pytest.mark.parametrize("whole", [RecursionError, ValueError])
+def test_a_recursion_error_in_a_check_or_its_shrinking_propagates(monkeypatch, whole):
+    # RecursionError measures the caller's stack, not the term, so it is no verdict
+    term = corpus_terms()[7]
+
+    def check(v, alpha):
+        raise (whole if v.term == term else RecursionError)("planted")
+
+    monkeypatch.setitem(harness.SUITES, "thm16", (check, 500, 20))
+    with pytest.raises(RecursionError, match="planted"):
+        run_suite("thm16", n_terms=0, n_oracles=1, extra_terms=[term])
+
+
 def _planted_generic_fault(monkeypatch):
     from systemt.dialogue import Graft, gkleisli
 
@@ -333,8 +396,6 @@ def test_run_suites_rejects_unknown_id():
 
 
 def test_shrink_reaches_a_locally_minimal_witness():
-    from systemt.harness import _shrink_candidates
-
     big = typecheck(
         parse(
             "fun (a : nat -> nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) -> succ r)"

@@ -15,8 +15,11 @@ median, the base's interquartile range, the relative change, the number of
 pairs the head won and a verdict ("gain", "worse" or "within"), with every
 run's raw numbers and the traced metrics and layer shares of both sides.  It
 also holds each side's line counts of src/systemt/*.py, as `wc -l` gives them.
-A run that printed `correct: false` or `failed > 0` is listed under
-"wrong_runs", and the script then exits 1.
+A run that printed `correct: false` or `failed > 0`, or that ran past
+TIMEOUT_FACTOR times the run length and was stopped, is listed under
+"wrong_runs", and the script then exits 1; a pair with a stopped run is left
+out of the summary.  SIGTERM stops the script as an exit does: the running
+benchmark is killed and the temporary directory removed.
 Standard library only.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: A run is stopped after this many times BENCHMARK.json's run_seconds.  A run
+#: repeats its inputs for run_seconds, after a set-up that starts 15
+#: interpreters and a first repeat that always completes.
+TIMEOUT_FACTOR = 10
 
 
 def unpack(ref: str, into: Path) -> Path:
@@ -44,12 +52,17 @@ def unpack(ref: str, into: Path) -> Path:
 
 
 def run_bench(checkout: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
-    """The JSON object that one run of spec's benchmark command prints last."""
-    done = subprocess.run(
-        [*spec["command"], "--workload", workload, "--seed", str(seed),
-         "--seconds", str(spec["run_seconds"]), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True,
-    )
+    """The JSON object that one run of spec's benchmark command prints last,
+    or for a run stopped at its time limit, one that says so and has no metrics."""
+    limit = TIMEOUT_FACTOR * spec["run_seconds"]
+    try:
+        done = subprocess.run(
+            [*spec["command"], "--workload", workload, "--seed", str(seed),
+             "--seconds", str(spec["run_seconds"]), "--trace", str(trace)],
+            cwd=checkout, capture_output=True, text=True, timeout=limit,
+        )
+    except subprocess.TimeoutExpired:  # subprocess.run has killed it
+        return {"correct": False, "failed": None, "attempted": None, "timed_out": limit, "metrics": {}}
     if not done.stdout.strip():
         raise RuntimeError(f"perfbench printed nothing in {checkout}: {done.stderr[-2000:]}")
     out = json.loads(done.stdout.strip().splitlines()[-1])
@@ -113,15 +126,17 @@ def layer_shares(metrics: dict, units: "dict[str, str]") -> dict:
 
 
 def wrong_runs(workloads: dict) -> "list[str]":
-    """Each run of the report's workloads that was not correct or had failed
-    calls, as "workload seed side: ..." (the seed reads "trace" for a traced run)."""
+    """Each run of the report's workloads that was not correct, had failed
+    calls or was stopped, as "workload seed side: ..." (the seed reads "trace"
+    for a traced run)."""
     wrong = []
     for workload, got in workloads.items():
         for seed, sides in [*((r["seed"], r) for r in got["runs"]), ("trace", got["trace"])]:
             for side in ("base", "head"):
                 run = sides[side]
                 if not run["correct"] or run["failed"]:
-                    wrong.append(f"{workload} {seed} {side}: correct {run['correct']}, failed {run['failed']}")
+                    stopped = f", stopped after {run['timed_out']} s" if "timed_out" in run else ""
+                    wrong.append(f"{workload} {seed} {side}: correct {run['correct']}, failed {run['failed']}{stopped}")
     return wrong
 
 
@@ -153,7 +168,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} cases_per_s {got[side]['metrics'].get('cases_per_s')}" for side in order), flush=True)
             traced = {side: run_bench(sides[side], spec, workload, seeds[0], 1) for side in ("base", "head")}
-            summary = summarize([(r["base"]["metrics"], r["head"]["metrics"]) for r in runs], better)
+            done = [(r["base"]["metrics"], r["head"]["metrics"]) for r in runs]
+            done = [pair for pair in done if all(pair)]  # a stopped run has no metrics
+            summary = summarize(done, better) if done else {}
             for name, metric in summary.items():
                 metric["verdict"] = verdict(metric, bounds[name])
             report["workloads"][workload] = {
@@ -168,5 +185,12 @@ def main(argv=None) -> int:
     return 1 if report["wrong_runs"] else 0
 
 
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, which unwinds main: subprocess.run kills
+    the running benchmark and TemporaryDirectory removes both checkouts."""
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+
+
 if __name__ == "__main__":
+    exit_on_sigterm()
     sys.exit(main())
