@@ -201,7 +201,7 @@ def test_corrupted_translation_is_caught_with_shrunk_witness(monkeypatch):
     assert infer(shrunk, ()) == BAIRE_FN
 
 
-def _planted_raise_in_translation(monkeypatch):
+def test_a_check_that_raises_fails_its_case_with_a_shrunk_witness(monkeypatch):
     original = church.translate
 
     def planted(term, motive):
@@ -210,10 +210,6 @@ def _planted_raise_in_translation(monkeypatch):
         return original(term, motive)
 
     monkeypatch.setattr(church, "translate", planted)
-
-
-def test_a_check_that_raises_fails_its_case_with_a_shrunk_witness(monkeypatch):
-    _planted_raise_in_translation(monkeypatch)
     report = run_suite("thm37", GenConfig(seed=5), n_terms=20, n_oracles=5, extra_terms=corpus_terms())
     assert not report.passed
     for failure in report.failures:

@@ -168,9 +168,9 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} cases_per_s {got[side]['metrics'].get('cases_per_s')}" for side in order), flush=True)
             traced = {side: run_bench(sides[side], spec, workload, seeds[0], 1) for side in ("base", "head")}
-            done = [(r["base"]["metrics"], r["head"]["metrics"]) for r in runs]
-            done = [pair for pair in done if all(pair)]  # a stopped run has no metrics
-            summary = summarize(done, better) if done else {}
+            pairs = [(r["base"]["metrics"], r["head"]["metrics"]) for r in runs]
+            pairs = [pair for pair in pairs if all(pair)]  # a stopped run has no metrics
+            summary = summarize(pairs, better) if pairs else {}
             for name, metric in summary.items():
                 metric["verdict"] = verdict(metric, bounds[name])
             report["workloads"][workload] = {
