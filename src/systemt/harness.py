@@ -22,8 +22,8 @@ its own checks, including the views it was first to need.  A check that raises
 fails its case with the detail "raised <Class>: <message>"; RecursionError, a
 limit of the caller's stack, propagates.  A failing term is shrunk by re-running
 the same check on fresh views of every candidate while it fails the same way: a
-mismatch, or a raise of the same class.  lem36 observes generated trees, so it
-has no check and nothing to shrink.
+mismatch, or a raise of the same class.  lem36 checks generated trees, whose
+views hold a tree and no term, so it has nothing to shrink.
 
 thm45 decides most cases by replay, reading Theorem 4.5 operationally as in
 effectful forcing: the compiled set-model value is deterministic and sees the
@@ -324,6 +324,10 @@ class _Views:
         return eval_set(church.dialogue_f_int())(internal)
 
     @cached_property
+    def encoded_dialogue(self):  # lem36's: the internal dialogue operator on the tree's encoding
+        return eval_set(church.dialogue_f_int())(church.encode(self.tree, BAIRE_FN))
+
+    @cached_property
     def uniform_max(self) -> int:
         return moduli.max_bool_question(moduli.prune(self.tree))
 
@@ -337,6 +341,10 @@ def _differ(lhs: int, rhs: int, detail: str) -> Optional[str]:
 
 def _thm16(v: _Views, alpha: Oracle) -> Optional[str]:
     return _differ(v.value_at(alpha), dialogue.dieval(v.tree, alpha), "set model {} != dialogue {}")
+
+
+def _lem36(v: _Views, alpha: Oracle) -> Optional[str]:
+    return _differ(dialogue.dieval(v.tree, alpha), v.encoded_dialogue(alpha), "dieval {} != internal dialogue {}")
 
 
 def _thm37(v: _Views, alpha: Oracle) -> Optional[str]:
@@ -461,10 +469,10 @@ def _thm55(v: _Views, _: None) -> Optional[str]:
 #: run.  A check maps a term's views and a point to a failure detail or None.
 #: A suite whose default oracle count is 0 checks the whole tree, at the one
 #: point None per term, whatever oracle count a run asks for.  lem36 checks
-#: generated trees, not terms, so its row holds only its scale.
+#: generated trees, not terms: its views hold a tree and no term.
 SUITES = {
     "thm16": (_thm16, 500, 20),
-    "lem36": (None, 200, 20),
+    "lem36": (_lem36, 200, 20),
     "thm37": (_thm37, 500, 20),
     "lem40": (_pointwise_moduli("encoded"), 500, 20),
     "lem44": (_pointwise_moduli("internal"), 500, 20),
@@ -489,13 +497,12 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
     if "lem36" in scales:  # running a tree = the internal dialogue operator on its encoding
         started, (n_trees, k), report = time.perf_counter(), scales["lem36"], reports["lem36"]
         for i in range(n_trees):
-            d = gen_tree(replace(cfg, seed=_mix(cfg.seed, i)))
-            internal = eval_set(church.dialogue_f_int())(church.encode(d, BAIRE_FN))
+            views = _Views(None, _mix(cfg.seed, i))
+            views.tree = gen_tree(replace(cfg, seed=views.seed))  # given, so not built from a term
             for alpha in oracles[:k]:
                 report.cases += 1
-                lhs, rhs = dialogue.dieval(d, alpha), internal(alpha)
-                if lhs != rhs:
-                    detail = f"dieval {lhs} != internal dialogue {rhs}"
+                failing, detail = _verdict(SUITES["lem36"][0], views, alpha)
+                if failing:
                     report.failures.append(Failure(None, alpha.spec(), detail))
         report.seconds = time.perf_counter() - started
     terms = list(extra_terms)

@@ -124,11 +124,7 @@ def compile_term(term: Term, model: Model) -> Compiled:
         return itemgetter(term.index)
     if isinstance(term, (Zero, Succ)):
         # collapse successor chains so deep numerals cost one frame, not one each
-        k = 0
-        core = term
-        while isinstance(core, Succ):
-            k += 1
-            core = core.arg
+        k, core = _successors(term)
         if isinstance(core, Zero):
             value = model.nat(k)
             return lambda env: value
@@ -145,16 +141,30 @@ def compile_term(term: Term, model: Model) -> Compiled:
     raise TypeError(f"not a term: {term!r}")
 
 
+def _successors(term: Term) -> "tuple[int, Term]":
+    """(k, core) for term = succ^k core, where core is not a successor."""
+    k = 0
+    while isinstance(term, Succ):
+        k, term = k + 1, term.arg
+    return k, term
+
+
 def _compile_iterate(term: Rec, model: Model):
     """The closure iterate(env, n) running the recursor of term n times."""
     basec = compile_term(term.base, model)
-    nat, indices = model.nat, model.indices
+    nat, indices, plus = model.nat, model.indices, model.plus
     step = term.step
     if isinstance(step, Lam) and isinstance(step.body, Lam):
-        # Uncurried fast path: applying a syntactic double-lambda to the
-        # index and the accumulator is just evaluating its body under two
-        # extra bindings.
+        # Uncurried fast path: a syntactic double lambda applied to the index
+        # and the accumulator is its body evaluated under two extra bindings.
         body = step.body.body
+        k, core = _successors(body)
+        if core == Var(0):
+            # The step only adds k to its result: n steps add k * n at once, in
+            # the tree model as one graft.  With k = 0 it is the identity at any motive.
+            if k == 0:
+                return lambda env, n: basec(env)
+            return lambda env, n: plus(basec, k * n)(env)
         bodyc = compile_term(body, model)
         if not occurs_free(body, 0):
             # The step never reads the recursive result, so only the last

@@ -5,6 +5,7 @@ differential criteria are exact natural-number equalities over the fixed
 ten-term corpus plus terms generated at budget 25.
 """
 
+import sys
 import time
 from pathlib import Path
 
@@ -136,6 +137,32 @@ def test_criterion_8_max_term_exhaustive_grid():
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 5.0
     _report(8, ok, f"max grid [0,200]^2: {mismatches} mismatches, {elapsed:.1f}s, bound <5s")
+
+
+def test_criterion_8_max_term_grid_costs_a_bounded_number_of_calls():
+    # A deterministic companion of the wall-clock gate above, which a CPU
+    # shared with another process can fail.  max x y runs one loop of y
+    # predecessor steps, at most 3 Python calls each.  A profile sees Python
+    # frames only, so a call into C added to each step (such as indices made
+    # by map(int, range(n))) passes here and shows only in the time above.
+    grid = range(0, 201, 20)
+    mv = eval_set(max_term())
+    fxs = [(x, apply_set(mv, natv(x))) for x in grid]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        got = [(apply_set(fx, natv(y)).value, max(x, y)) for x, fx in fxs for y in grid]
+    finally:
+        sys.setprofile(None)
+    mismatches = sum(lhs != rhs for lhs, rhs in got)
+    bound = sum(3 * y + 9 for _ in grid for y in grid)
+    ok = mismatches == 0 and calls <= bound
+    _report(8, ok, f"max grid {{0,20,..,200}}^2: {mismatches} mismatches, {calls} Python calls, bound {bound}")
 
 
 def test_criterion_9_roundtrip_and_golden_files(capsys):

@@ -493,6 +493,20 @@ def test_selftest_reports_a_check_that_raises_as_a_failed_case(capsys, monkeypat
     assert {failure["detail"] for failure in suite["failures"]} == {"raised IndexError: planted"}
 
 
+
+def test_selftest_reports_a_lem36_check_that_raises_as_a_failed_case(capsys, monkeypatch):
+    from systemt import church
+
+    def planted(tree, motive):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(church, "encode", planted)
+    code, out, err = run(capsys, "selftest", "--suite", "lem36", "--terms", "3", "--oracles", "2")
+    summary, *fails = out.splitlines()
+    assert (code, err) == (2, "") and "Traceback" not in out
+    assert summary.endswith("[6 FAILED]") and len(fails) == 6
+    assert all(line.startswith("  FAIL oracle ") and line.endswith(": raised IndexError: planted") for line in fails)
+
 def test_selftest_json_reports_each_suite(capsys):
     code, out, _ = run(capsys, "selftest", "--suite", "thm16", "--terms", "3", "--oracles", "2", "--json")
     assert code == 0

@@ -259,6 +259,30 @@ def test_a_recursion_error_in_a_check_or_its_shrinking_propagates(monkeypatch, w
         run_suite("thm16", n_terms=0, n_oracles=1, extra_terms=[term])
 
 
+
+@pytest.mark.parametrize("raised", [None, IndexError, RecursionError])
+def test_lem36_encodes_each_tree_once_and_reports_what_its_check_raises(monkeypatch, raised):
+    encoded = []
+
+    def encode(tree, motive):
+        encoded.append(tree)
+        if raised is not None:
+            raise raised("planted")
+        return ORIGINAL_ENCODE(tree, motive)
+
+    monkeypatch.setattr(church, "encode", encode)
+    if raised is RecursionError:  # a limit of the caller's stack, so no verdict
+        with pytest.raises(RecursionError, match="planted"):
+            run_suite("lem36", GenConfig(seed=3), n_terms=4, n_oracles=5)
+        return
+    report = run_suite("lem36", GenConfig(seed=3), n_terms=4, n_oracles=5)
+    assert report.cases == 20
+    if raised is None:
+        assert report.passed and len(encoded) == 4
+    else:  # a raise is not kept, so each case encodes again, and fails
+        assert [f.detail for f in report.failures] == ["raised IndexError: planted"] * 20
+        assert len(encoded) == 20 and all(f.term is None for f in report.failures)
+
 def _planted_generic_fault(monkeypatch):
     from systemt.dialogue import Graft, gkleisli
 

@@ -5,7 +5,7 @@ import pytest
 
 from systemt import set_model
 from systemt.church import dialogue_tree_int, generic_int, leaf_int
-from systemt.dialogue import TREE_MODEL, Oracle, eval_dial
+from systemt.dialogue import TREE_MODEL, Oracle, dialogue_tree, dieval, eval_dial, tree_sexpr
 from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term
 from systemt.moduli import max_term, modulus_int
 from systemt.set_model import (
@@ -224,10 +224,69 @@ def test_recursor_shortcut_matches_reference_on_dropping_steps():
         assert apply_set(reference_eval(typecheck(parse(pred))), natv(n)).value == max(0, n - 1)
 
 
+def adder(k: int, base: str = "zero") -> str:
+    """n |-> rec[nat] (fun i r -> succ^k r) base n, a recursor whose step only adds k."""
+    return f"fun (n : nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) -> {'succ (' * k}r{')' * k}) ({base}) n"
+
+
+def test_a_step_that_only_adds_runs_as_one_addition():
+    # k = 3 tells k * n from n, and from k + n, which k = 1 does not
+    for k in [0, 1, 3]:
+        for base in ["7", "succ n"]:  # a constant base, and one that reads the environment
+            src = adder(k, base)
+            v, ref = ev(src), reference_eval(typecheck(parse(src)))
+            for n in [0, 1, 2, 17, 400]:
+                assert apply_set(v, natv(n)) == apply_set(ref, natv(n)), (k, base, n)
+
+
+def test_a_step_that_only_adds_gives_the_same_tree_as_the_loop():
+    # succ (succ ((fun x -> x) r)) adds 2 as well, but is not the shape the
+    # compiler adds up in one step, so it runs the loop, one graft per step
+    added = "fun (a : nat -> nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) -> succ (succ r)) (a 0) (a 1)"
+    looped = added.replace("succ (succ r)", "succ (succ ((fun (x : nat) -> x) r))")
+    tree, loop_tree = (dialogue_tree(typecheck(parse(src))) for src in (added, looped))
+    assert tree_sexpr(tree, 4, 3) == tree_sexpr(loop_tree, 4, 3)
+    f = ev(added)
+    for seed in range(20):
+        alpha = gen_oracle(GenConfig(seed=seed))
+        assert dieval(tree, alpha) == dieval(loop_tree, alpha) == apply_set(f, alpha).value == 2 * alpha(1) + alpha(0)
+
+
+def test_an_identity_step_returns_the_base_at_a_function_motive():
+    src = """fun (n : nat) ->
+      rec[nat -> nat] (fun (i : nat) -> fun (g : nat -> nat) -> g) (fun (x : nat) -> succ x) n"""
+    term = typecheck(parse(src))
+    for n in [0, 1, 50]:
+        assert apply_set(apply_set(eval_set(term), natv(n)), natv(4)) == NatV(5)
+        assert eval_dial(term)(TREE_MODEL.nat(n))(TREE_MODEL.nat(4)).leaf == 5
+
+
+def test_a_step_that_only_adds_costs_the_same_calls_at_any_count():
+    # the compiled value itself, so no NatV box at the boundary counts
+    v = compile_term(typecheck(parse(adder(1))), SET_MODEL)(())
+
+    def calls_at(n):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            out = v(n)
+        finally:
+            sys.setprofile(None)
+        assert out == n
+        return calls
+
+    assert calls_at(10) == calls_at(100000)
+
+
 def test_max_term_costs_a_bounded_number_of_calls_per_step():
-    # max 0 y runs two loops of y steps, the first running a predecessor
-    # recursor per step; a Python frame put back into every step (a box, an
-    # unbox, an index conversion) breaks the bound
+    # max 0 y runs one loop of y steps, each running a predecessor recursor,
+    # and adds y back in one addition; a Python frame put back into every step
+    # (a box, an unbox, an index conversion) breaks the bound
     fx = apply_set(eval_set(max_term()), natv(0))
     y = 200
     calls = 0
@@ -242,7 +301,7 @@ def test_max_term_costs_a_bounded_number_of_calls_per_step():
     finally:
         sys.setprofile(None)
     assert out == NatV(y)
-    assert calls <= 4 * y + 7
+    assert calls <= 3 * y + 9
 
 
 # -- closed constants, compiled once per model --------------------------------
