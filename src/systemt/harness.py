@@ -6,24 +6,25 @@ guaranteeing termination; an exhausted budget falls back to the canonical
 inhabitant of the target type.
 
 Every suite observes one natural number two ways and checks that they agree;
-its row in the table `SUITES` holds its check and default scale.  A term
-suite's check takes the term's views and a point (an oracle, or None for the
-uniform suites, which look at the whole tree once) to a failure detail or
-None.  The views of a term are built on first use and shared by all its
-points: the set-model value, the external dialogue tree and its Church
-encoding, the compiled internal tree, the internal dialogue operator applied
-to the internal tree, and the tree-wide max question over answers 0 and 1.  A
-check builds the closed constants it applies, such as `moduli.modulus_int()`,
-at each use, so a test can swap in a faulty one; set_model compiles each
-once.  `run_suites` runs any rows in one pass over the terms: each term's
-views are built once and shared by every suite that checks it, and
-`run_suite` is its one-suite case.  A suite's `seconds` is the time spent in
-its own checks, including the views it was first to need.  A check that raises
-fails its case with the detail "raised <Class>: <message>"; RecursionError, a
-limit of the caller's stack, propagates.  A failing term is shrunk by re-running
-the same check on fresh views of every candidate while it fails the same way: a
-mismatch, or a raise of the same class.  lem36 checks generated trees, whose
-views hold a tree and no term, so it has nothing to shrink.
+its row in the table `SUITES` holds its check and default scale.  A check
+takes an input's views and a point (an oracle, or None for the uniform suites,
+which look at the whole tree once) to a failure detail or None.  The views of
+an input are built on first use and shared by all its points: the set-model
+value, the external dialogue tree and its Church encoding, the compiled
+internal tree, the internal dialogue operator applied to the internal tree,
+and the tree-wide max question over answers 0 and 1.  Inputs are closed terms
+of type (nat -> nat) -> nat, except lem36's: the tree gen_tree draws from the
+input's seed, whose views hold no term.  A check builds the closed constants it
+applies, such as `moduli.modulus_int()`, at each use, so a test can swap in a
+faulty one; set_model compiles each once.  `run_suites` runs any rows in one
+pass over the input index i: term i's views are built once and shared by every
+suite that checks it, lem36 checks tree i, and `run_suite` is the one-suite
+case.  A suite's `seconds` is the time spent in its own checks, including the
+views it was first to need.  A check that raises fails its case with the
+detail "raised <Class>: <message>"; RecursionError, a limit of the caller's
+stack, propagates.  A failing term is shrunk by re-running the same check on
+fresh views of every candidate while it fails the same way: a mismatch, or a
+raise of the same class.  A failing tree is reported by its oracle alone.
 
 thm45 decides most cases by replay, reading Theorem 4.5 operationally as in
 effectful forcing: the compiled set-model value is deterministic and sees the
@@ -256,9 +257,12 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No case failed, and at least one ran."""
+        return self.cases > 0 and not self.failures
 
     def summary(self) -> str:
+        if not self.cases:
+            return f"{self.suite}: 0 cases [FAILED: no case ran]"
         state = "ok" if self.passed else f"{len(self.failures)} FAILED"
         replayed = f" ({self.replayed} by replay)" if self.replayed else ""
         return f"{self.suite}: {self.cases} cases{replayed}, {self.seconds:.1f}s [{state}]"
@@ -296,8 +300,9 @@ def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
 # ---------------------------------------------------------------------------
 
 class _Views:
-    """What the suites observe of one closed term of type (nat -> nat) -> nat,
-    each view built on first use and kept for all the points checked."""
+    """What the suites observe of one input, a closed term of type
+    (nat -> nat) -> nat or, with term None, lem36's generated tree; each view
+    is built on first use and kept for all the points checked."""
 
     def __init__(self, term: Term, seed: int):
         self.term, self.seed = term, seed
@@ -308,6 +313,8 @@ class _Views:
 
     @cached_property
     def tree(self) -> DTree:
+        if self.term is None:  # lem36's input
+            return gen_tree(GenConfig(seed=self.seed))
         return dialogue.dialogue_tree(self.term)
 
     @cached_property
@@ -466,7 +473,7 @@ def _thm55(v: _Views, _: None) -> Optional[str]:
 
 
 #: Each suite as (check, inputs, oracles per input) of the default selftest
-#: run.  A check maps a term's views and a point to a failure detail or None.
+#: run.  A check maps an input's views and a point to a failure detail or None.
 #: A suite whose default oracle count is 0 checks the whole tree, at the one
 #: point None per term, whatever oracle count a run asks for.  lem36 checks
 #: generated trees, not terms: its views hold a tree and no term.
@@ -486,49 +493,42 @@ SUITE_IDS = tuple(SUITES)
 
 def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Report]":
     """Run the suites `scales` maps to (inputs, oracles per input) in one pass
-    over the terms and report in that order.  Each suite checks a prefix of one
-    oracle list and of one term list, extra terms first; lem36's are trees."""
+    over the inputs and report in that order.  Each suite checks a prefix of
+    one oracle list and of one term list, extra terms first; lem36 checks a
+    prefix of the generated trees instead."""
     for which in scales:
         if which not in SUITES:
             raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
     n_oracles = max((k for which, (_, k) in scales.items() if SUITES[which][2]), default=0)
     oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
-    reports = {which: Report(suite=which, cases=0) for which in scales}
-    if "lem36" in scales:  # running a tree = the internal dialogue operator on its encoding
-        started, (n_trees, k), report = time.perf_counter(), scales["lem36"], reports["lem36"]
-        for i in range(n_trees):
-            views = _Views(None, _mix(cfg.seed, i))
-            views.tree = gen_tree(replace(cfg, seed=views.seed))  # given, so not built from a term
-            for alpha in oracles[:k]:
-                report.cases += 1
-                failing, detail = _verdict(SUITES["lem36"][0], views, alpha)
-                if failing:
-                    report.failures.append(Failure(None, alpha.spec(), detail))
-        report.seconds = time.perf_counter() - started
     terms = list(extra_terms)
     suites = [
-        (reports[which], SUITES[which][0], len(terms) + n, oracles[:k] if SUITES[which][2] else [None])
+        (Report(which, 0), check, n if which == "lem36" else len(terms) + n, oracles[:k] if default_k else [None])
         for which, (n, k) in scales.items()
-        if which != "lem36"
+        for check, _, default_k in [SUITES[which]]
     ]
     n_generated = max((n for which, (n, _) in scales.items() if which != "lem36"), default=0)
     terms += [gen_term(replace(cfg, seed=_mix(cfg.seed, i)), BAIRE_FN) for i in range(n_generated)]
-    for i, term in enumerate(terms):
-        seed = _mix(cfg.seed, i)  # each term's probes draw from their own seed
-        views = _Views(term, seed)
-        for report, check, n_terms, points in suites:
+    for i in range(max((n_inputs for _, _, n_inputs, _ in suites), default=0)):
+        seed = _mix(cfg.seed, i)  # each input's probes draw from their own seed
+        # lem36's input i is the tree drawn from the seed, and no term
+        term_views, tree_views = _Views(terms[i] if i < len(terms) else None, seed), _Views(None, seed)
+        for report, check, n_inputs, points in suites:
+            views = tree_views if report.suite == "lem36" else term_views
             started = time.perf_counter()
-            for alpha in points if i < n_terms else ():
+            for alpha in points if i < n_inputs else ():
                 report.cases += 1
                 failing, detail = _verdict(check, views, alpha)
                 if detail is _REPLAYED:
                     report.replayed += 1
-                elif failing:
-                    small = shrink_term(term, lambda t: _verdict(check, _Views(t, seed), alpha)[0] == failing)
+                elif failing:  # a tree of lem36 has no term to shrink
+                    term = views.term and pretty(
+                        shrink_term(views.term, lambda t: _verdict(check, _Views(t, seed), alpha)[0] == failing)
+                    )
                     spec = None if alpha is None else alpha.spec()
-                    report.failures.append(Failure(pretty(small), spec, detail))
+                    report.failures.append(Failure(term, spec, detail))
             report.seconds += time.perf_counter() - started
-    return list(reports.values())
+    return [report for report, *_ in suites]
 
 
 def run_suite(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
-from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free
+from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def compile_term(term: Term, model: Model) -> Compiled:
         return itemgetter(term.index)
     if isinstance(term, (Zero, Succ)):
         # collapse successor chains so deep numerals cost one frame, not one each
-        k, core = _successors(term)
+        k, core = successors(term)
         if isinstance(core, Zero):
             value = model.nat(k)
             return lambda env: value
@@ -141,14 +141,6 @@ def compile_term(term: Term, model: Model) -> Compiled:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _successors(term: Term) -> "tuple[int, Term]":
-    """(k, core) for term = succ^k core, where core is not a successor."""
-    k = 0
-    while isinstance(term, Succ):
-        k, term = k + 1, term.arg
-    return k, term
-
-
 def _compile_iterate(term: Rec, model: Model):
     """The closure iterate(env, n) running the recursor of term n times."""
     basec = compile_term(term.base, model)
@@ -158,7 +150,7 @@ def _compile_iterate(term: Rec, model: Model):
         # Uncurried fast path: a syntactic double lambda applied to the index
         # and the accumulator is its body evaluated under two extra bindings.
         body = step.body.body
-        k, core = _successors(body)
+        k, core = successors(body)
         if core == Var(0):
             # The step only adds k to its result: n steps add k * n at once, in
             # the tree model as one graft.  With k = 0 it is the identity at any motive.

@@ -163,6 +163,15 @@ def numeral(n: int) -> Term:
     return t
 
 
+def successors(term: Term) -> "tuple[int, Term]":
+    """(k, core) for term = succ^k core, where core is not a successor; the
+    chain is walked in a loop, so a deep numeral costs no frame per succ."""
+    k = 0
+    while isinstance(term, Succ):
+        k, term = k + 1, term.arg
+    return k, term
+
+
 # ---------------------------------------------------------------------------
 # Errors
 # ---------------------------------------------------------------------------
@@ -384,12 +393,10 @@ def _infer(term: Term, ctx: tuple) -> Ty:
     if isinstance(term, Zero):
         return NAT
     if isinstance(term, Succ):
-        # numerals are Succ chains: walk them in a loop, not one frame each
-        while isinstance(term, Succ):
-            term = term.arg
-        ty = _infer(term, ctx)
+        core = successors(term)[1]
+        ty = _infer(core, ctx)
         if ty != NAT:
-            raise TypeCheckError(term.pos, NAT, ty)
+            raise TypeCheckError(core.pos, NAT, ty)
         return NAT
     if isinstance(term, Rec):
         want_step = arrow(NAT, term.motive, term.motive)
@@ -468,9 +475,7 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) ->
             raise ValueError(f"free index {t.index} has no name")
         out.append(names[-1 - t.index])
         return
-    k, core = 0, t
-    while isinstance(core, Succ):  # one walk per successor chain
-        k, core = k + 1, core.arg
+    k, core = successors(t)
     if isinstance(core, Zero):
         out.append(str(k) if k else "zero")
         return

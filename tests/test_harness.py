@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from systemt import church, dialogue, harness, moduli
-from systemt.dialogue import BAIRE_FN, Branch, Leaf
+from systemt.dialogue import BAIRE_FN, Branch, Leaf, tree_sexpr
 from systemt.harness import (
     CORPUS,
     GenConfig,
@@ -15,6 +15,7 @@ from systemt.harness import (
     corpus_terms,
     gen_oracle,
     gen_term,
+    gen_tree,
     run_suite,
     run_suites,
     shrink_term,
@@ -118,10 +119,11 @@ def test_run_suite_rejects_unknown_id():
         run_suite("thm99")
 
 
-def test_run_suite_zero_cases_is_empty_pass():
+def test_run_suite_zero_cases_is_a_failure():
+    # no failure among no cases shows nothing, so such a suite has not passed
     report = run_suite("thm16", GenConfig(seed=0), n_terms=0, n_oracles=5)
-    assert report.cases == 0
-    assert report.passed
+    assert (report.cases, report.failures, report.passed) == (0, [], False)
+    assert report.summary() == "thm16: 0 cases [FAILED: no case ran]"
 
 
 @pytest.mark.parametrize("suite", SUITE_IDS)
@@ -358,10 +360,9 @@ def test_thm45_catches_a_modulus_one_too_small(monkeypatch):
     assert all("not respected" in failure.detail for failure in report.failures)
 
 
-@pytest.mark.parametrize("faulty", [False, True])
-def test_one_pass_reports_what_separate_runs_report(monkeypatch, faulty):
-    if faulty:
-        _planted_generic_fault(monkeypatch)
+def _one_pass_as_separate_runs():
+    """The reports of one run_suites pass over all nine suites, each checked
+    against a separate run_suite call at the same scale."""
     cfg = GenConfig(seed=7)
     scales = {suite: (3 + i % 3, 1 + i % 4) for i, suite in enumerate(SUITE_IDS)}
     together = run_suites(scales, cfg, corpus_terms())
@@ -371,7 +372,22 @@ def test_one_pass_reports_what_separate_runs_report(monkeypatch, faulty):
         assert (one.suite, one.cases, one.replayed, one.failures) == (
             alone.suite, alone.cases, alone.replayed, alone.failures
         )
-    assert any(r.failures for r in together) == faulty
+    return together
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_one_pass_reports_what_separate_runs_report(monkeypatch, faulty):
+    if faulty:
+        _planted_generic_fault(monkeypatch)
+    assert any(r.failures for r in _one_pass_as_separate_runs()) == faulty
+
+
+@pytest.mark.parametrize("suite", SUITE_IDS)
+def test_one_pass_reports_what_separate_runs_report_under_each_planted_fault(monkeypatch, suite):
+    monkeypatch.setattr(*FAULTS[suite])
+    failed = {r.suite: r.failures for r in _one_pass_as_separate_runs() if r.failures}
+    assert suite in failed
+    assert all(failure.term is None for failure in failed.get("lem36", ()))  # a tree has no term
 
 
 def test_one_pass_builds_each_view_once_per_term(monkeypatch):
@@ -387,7 +403,11 @@ def test_one_pass_builds_each_view_once_per_term(monkeypatch):
     assert Counter(kind for kind, _ in calls) == {"tree": n, NAT: n, BAIRE_FN: n}
 
 
-def test_one_pass_gives_each_suite_its_own_scale():
+def test_one_pass_gives_each_suite_its_own_scale(monkeypatch):
+    encoded = []  # lem36 encodes each of its trees once, at motive BAIRE_FN
+    monkeypatch.setattr(
+        church, "encode", lambda tree, m: (m == BAIRE_FN and encoded.append(tree)) or ORIGINAL_ENCODE(tree, m)
+    )
     scales = {"thm45": (0, 1), "lem36": (4, 3), "thm16": (3, 2), "lem50": (5, 0)}
     reports = run_suites(scales, GenConfig(seed=2), corpus_terms())
     n = len(corpus_terms())
@@ -395,6 +415,9 @@ def test_one_pass_gives_each_suite_its_own_scale():
         ("thm45", n), ("lem36", 12), ("thm16", (n + 3) * 2), ("lem50", n + 5)
     ]
     assert all(r.passed for r in reports)
+    # lem36's input i is the tree drawn from input i's seed, not term i's tree
+    drawn = [gen_tree(GenConfig(seed=harness._mix(2, i))) for i in range(4)]
+    assert [tree_sexpr(t, 4, 8) for t in encoded] == [tree_sexpr(t, 4, 8) for t in drawn]
 
 
 @pytest.mark.parametrize("suite", ["lem50", "lem54", "thm55"])

@@ -32,6 +32,7 @@ from systemt.syntax import (
     occurs_free,
     parse,
     pretty,
+    successors,
     typecheck,
 )
 
@@ -312,7 +313,29 @@ def test_numeral_has_n_successors(n):
         t = t.arg
     assert isinstance(t, Zero)
     assert count == n
+    assert successors(numeral(n)) == (n, Zero())
     assert pretty(numeral(n)) == (str(n) if n else "zero")
+
+
+@pytest.mark.parametrize(
+    "term, k, core",
+    [
+        (Var(0), 0, Var(0)),  # no successor: the term itself
+        (App(Var(0), Succ(Zero())), 0, App(Var(0), Succ(Zero()))),
+        (numeral(5), 5, Zero()),
+        (Succ(Succ(App(Var(0), Zero()))), 2, App(Var(0), Zero())),
+    ],
+)
+def test_successors_splits_a_chain_from_its_core(term, k, core):
+    assert successors(term) == (k, core)
+
+
+def test_successors_walks_a_deep_chain_at_the_default_recursion_limit():
+    t = Var(0)
+    for _ in range(200_000):
+        t = Succ(t)
+    k, core = successors(t)
+    assert (k, core) == (200_000, Var(0))
 
 
 def test_occurs_free_answers_on_a_deep_term_at_the_default_recursion_limit():
