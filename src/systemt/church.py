@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .dialogue import BAIRE_FN, DTree, Leaf, require_baire_fn
 from .set_model import SetValue, eval_set, share
-from .syntax import NAT, App, Arrow, Lam, Rec, Succ, Term, Ty, Var, Zero, format_ty, parse, typecheck
+from .syntax import NAT, App, Arrow, Lam, Rec, Succ, Term, Ty, Var, Zero, format_ty, parse, successors, typecheck
 
 #: The motive of a fold is just a System T type.
 Motive = Ty
@@ -147,10 +147,13 @@ def _translate(t: Term, motive: Motive, ren: tuple, k: int) -> Term:
         if ren or k:
             ren = (0, *[r + 1 for r in ren])
         return Lam(translate_type(t.domain, motive), _translate(t.body, motive, ren, k))
-    if isinstance(t, Zero):
-        return _numerals(motive)[0]
-    if isinstance(t, Succ):
-        return App(_numerals(motive)[1], _translate(t.arg, motive, ren, k))
+    if isinstance(t, (Zero, Succ)):  # the chain in a loop: no frame per succ
+        n, core = successors(t)
+        zero, succ = _numerals(motive)
+        out = zero if isinstance(core, Zero) else _translate(core, motive, ren, k)
+        for _ in range(n):
+            out = App(succ, out)
+        return out
     if isinstance(t, Rec):
         step = _translate(t.step, motive, tuple(r + 2 for r in ren), k + 2)
         base = _translate(t.base, motive, tuple(r + 1 for r in ren), k + 1)

@@ -6,8 +6,9 @@ represented as total functions, so trees over the full answer alphabet of
 naturals stay finite objects; materialization happens only when printing.
 
 The tree model is the record `TREE_MODEL` for the staged compiler in
-`set_model`, which serves both models: only the ground type differs.  Its
-ground values are `Graft`s, and its function values plain Python callables.
+`set_model`, which serves both models.  As in the set model, a natural that
+asks nothing is a plain `int` and a function value a plain Python callable; a
+natural that asks is a `Graft`.
 """
 
 from __future__ import annotations
@@ -111,47 +112,43 @@ def dieval(tree: DTree, answers) -> int:
 
 
 class Graft:
-    """A tree-model natural: its Church-encoded query tree with the branch
-    handler fixed to `Branch`; run(k) grafts k : int -> DTree onto every leaf.
-    leaf is the value of a tree that is one leaf, else None.  Not callable, so
-    compiled closures tell it from a function value."""
+    """A tree-model natural that asks the oracle: its Church-encoded query tree
+    with the branch handler fixed to `Branch`; run(k) grafts k : int -> DTree
+    onto every leaf.  Not callable, so compiled closures tell it from a
+    function value."""
 
-    __slots__ = ("run", "leaf")
+    __slots__ = ("run",)
 
-    def __init__(self, run: Callable[[Callable[[int], DTree]], DTree], leaf: "int | None" = None):
-        self.run, self.leaf = run, leaf
-
-
-DialValue = Union[Graft, Callable]
+    def __init__(self, run: Callable[[Callable[[int], DTree]], DTree]):
+        self.run = run
 
 
-def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: Graft) -> DialValue:
-    """Kleisli extension lifted pointwise through arrow types: O(1) at ground."""
+#: A value of the tree model: an int asks nothing, a Graft asks.
+DialValue = Union[int, Graft, Callable]
+
+
+def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: "int | Graft") -> DialValue:
+    """Kleisli extension lifted pointwise through arrow types: O(1) at ground.
+    On an int it is fn applied at once, at any type (KE f (eta n) = f n)."""
+    if type(tree) is int:  # eager, so pure arithmetic nests no closures
+        return fn(tree)
     if ty == NAT:
-        if tree.leaf is not None:  # eager on a leaf, so pure arithmetic nests no closures
-            return fn(tree.leaf)
-        # a leaf result feeds k at once, so running a chain of binds costs a frame per bind
-        return Graft(lambda k: tree.run(lambda n: k(m.leaf) if (m := fn(n)).leaf is not None else m.run(k)))
+        # an int result feeds k at once, so running a chain of binds costs a frame per bind
+        return Graft(lambda k: tree.run(lambda n: k(m) if type(m := fn(n)) is int else m.run(k)))
     cod = ty.codomain
     return lambda s: gkleisli(cod, lambda n: fn(n)(s), tree)
 
 
-def generic(tree: Graft) -> Graft:
+def generic(tree: "int | Graft") -> Graft:
     """Ask the oracle at every leaf: the tree-model oracle argument."""
     return gkleisli(NAT, lambda n: Graft(lambda k: Branch(n, k)), tree)
 
 
-def _nat(n: int) -> Graft:
-    return Graft(lambda k: k(n), n)
-
-
-#: The tree model: a natural is the tree of queries that computes it, and the
-#: recursor is grafted onto every leaf of its scrutinee's tree.
+#: The tree model: a natural that asks is the tree of queries that computes it,
+#: and plus and the recursor are grafted onto every leaf of its tree.
 TREE_MODEL = Model(
-    nat=_nat,
-    plus=lambda corec, k: lambda env: gkleisli(NAT, lambda n: _nat(n + k), corec(env)),
+    plus=lambda corec, k: lambda env: gkleisli(NAT, lambda n: n + k, corec(env)),
     rec=lambda motive, argc, iterate: lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env)),
-    indices=lambda n: map(_nat, range(n)),
 )
 
 
@@ -170,7 +167,8 @@ def require_baire_fn(term: Term) -> None:
 def dialogue_tree(term: Term) -> DTree:
     """The tree of queries a closed term of type (nat -> nat) -> nat performs."""
     require_baire_fn(term)
-    return eval_dial(term)(generic).run(Leaf)
+    out = eval_dial(term)(generic)
+    return Leaf(out) if type(out) is int else out.run(Leaf)
 
 
 # ---------------------------------------------------------------------------

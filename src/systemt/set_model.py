@@ -4,22 +4,22 @@
 environments; the result is applied any number of times without walking the
 term again, and a closed constant recorded with `share` compiles once per
 model.  The same compiler serves the set model here, where terms evaluate to
-numbers and host functions, and the tree model in `dialogue`, where ground
-values are dialogue trees.  Following effectful forcing, the two models differ
-only at the ground type, so a `Model` record holds just the four things that
-touch it.  In both models a function value is a plain Python callable, and no
-ground value is callable, so compiled closures pass ground values unboxed: a
-plain `int` here, a `Graft` in the tree model, and Python's own call raises
-`TypeError` on one applied as a function.  `NatV` boxes naturals only at the
-public boundary: `eval_set` returns one for a closed term of type nat, and
-`apply_set` takes a `NatV` or an `int` and returns a `NatV` at ground.
+numbers and host functions, and the tree model in `dialogue`, where a natural
+may ask the oracle.  Following effectful forcing, both models keep a natural
+that asks nothing as a plain `int`, so a `Model` record holds just the two
+combinators that bind a natural.  A function value is a plain Python callable,
+and no ground value is callable (a natural that asks is a `Graft`), so compiled
+closures pass ground values unboxed, and Python's own call raises `TypeError`
+on one applied as a function.  `NatV` boxes naturals only at the public
+boundary: `eval_set` returns one for a closed term of type nat, and `apply_set`
+takes a `NatV` or an `int` and returns a `NatV` at ground.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
 
@@ -37,19 +37,15 @@ Compiled = Callable[[tuple], object]
 
 
 class Model(NamedTuple):
-    """What a model of System T decides at the ground type.  plus and rec are
-    compile-time combinators: they build a closure once, so a compiled term
-    never looks into the record at run time."""
+    """How a model of System T binds a natural.  plus and rec are compile-time
+    combinators: they build a closure once, so a compiled term never looks
+    into the record at run time."""
 
-    #: the value of the numeral k
-    nat: Callable[[int], object]
     #: plus(c, k): a closure adding k to the ground value c computes
     plus: Callable[[Compiled, int], Compiled]
     #: rec(motive, c, iterate): a closure feeding the scrutinee c computes to
     #: iterate(env, n), which runs the recursor n times
     rec: Callable[[Ty, Compiled, Callable[[tuple, int], object]], Compiled]
-    #: indices(n): the values of the numerals 0 .. n-1, the recursor's indices
-    indices: Callable[[int], Iterable]
 
 
 _SMALL = tuple(NatV(i) for i in range(4096))
@@ -86,10 +82,8 @@ def lift_oracle(alpha) -> Callable[[int], int]:
 
 #: The set model: a natural is an int, and the recursor runs on its value.
 SET_MODEL = Model(
-    nat=int,
     plus=lambda corec, k: lambda env: corec(env) + k,
     rec=lambda motive, argc, iterate: lambda env: iterate(env, argc(env)),
-    indices=range,
 )
 
 
@@ -126,8 +120,7 @@ def compile_term(term: Term, model: Model) -> Compiled:
         # collapse successor chains so deep numerals cost one frame, not one each
         k, core = successors(term)
         if isinstance(core, Zero):
-            value = model.nat(k)
-            return lambda env: value
+            return lambda env: k
         return model.plus(compile_term(core, model), k)
     if isinstance(term, Lam):
         bodyc = compile_term(term.body, model)
@@ -144,7 +137,7 @@ def compile_term(term: Term, model: Model) -> Compiled:
 def _compile_iterate(term: Rec, model: Model):
     """The closure iterate(env, n) running the recursor of term n times."""
     basec = compile_term(term.base, model)
-    nat, indices, plus = model.nat, model.indices, model.plus
+    plus = model.plus
     step = term.step
     if isinstance(step, Lam) and isinstance(step.body, Lam):
         # Uncurried fast path: a syntactic double lambda applied to the index
@@ -165,11 +158,11 @@ def _compile_iterate(term: Rec, model: Model):
             def iterate(env, n):
                 if n == 0:
                     return basec(env)
-                return bodyc((None, nat(n - 1)) + env)
+                return bodyc((None, n - 1) + env)
         else:
             def iterate(env, n):
                 acc = basec(env)
-                for k in indices(n):
+                for k in range(n):
                     acc = bodyc((acc, k) + env)
                 return acc
         return iterate
@@ -179,7 +172,7 @@ def _compile_iterate(term: Rec, model: Model):
         acc = basec(env)
         if n:
             fn = stepc(env)
-            for k in indices(n):
+            for k in range(n):
                 acc = fn(k)(acc)
         return acc
 

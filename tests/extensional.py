@@ -39,9 +39,15 @@ def generic(tree: DTree) -> DTree:
     return kleisli(lambda n: Branch(n, Leaf), tree)
 
 
-def graft_of(tree: DTree) -> Graft:
-    """The tree-model natural whose tree is `tree`, grafting by `kleisli`."""
-    return Graft(lambda k: kleisli(k, tree))
+def graft_of(tree: DTree) -> "int | Graft":
+    """The tree-model natural whose tree is `tree`: the int of a leaf, else a
+    Graft grafting by `kleisli`."""
+    return tree.value if isinstance(tree, Leaf) else Graft(lambda k: kleisli(k, tree))
+
+
+def as_tree(value: "int | Graft") -> DTree:
+    """The tree of a tree-model natural: one leaf for an int."""
+    return Leaf(value) if type(value) is int else value.run(Leaf)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,9 @@ def test_criterion_8_max_term_grid_costs_a_bounded_number_of_calls():
     # A deterministic companion of the wall-clock gate above, which a CPU
     # shared with another process can fail.  max x y runs one loop of y
     # predecessor steps, at most 3 Python calls each.  A profile sees Python
-    # frames only, so a call into C added to each step (such as indices made
-    # by map(int, range(n))) passes here and shows only in the time above.
+    # frames only, so a call into C added to each step (such as one converting
+    # each index of the loop over range(n)) passes here and shows only in the
+    # time above.
     grid = range(0, 201, 20)
     mv = eval_set(max_term())
     fxs = [(x, apply_set(mv, natv(x))) for x in grid]

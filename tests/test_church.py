@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,6 @@ from systemt.church import (
 )
 from systemt.dialogue import (
     BAIRE_FN,
-    TREE_MODEL,
     Branch,
     Leaf,
     Oracle,
@@ -52,7 +53,7 @@ from systemt.syntax import (
     typecheck,
 )
 
-from extensional import functor_map, graft_of, handler_battery, kleisli, values_agree
+from extensional import as_tree, functor_map, graft_of, handler_battery, kleisli, values_agree
 from test_syntax import shift
 
 MOTIVES = [NAT, Arrow(NAT, NAT), BAIRE_FN]
@@ -143,11 +144,11 @@ def test_gkleisli_int_matches_external_through_encode():
 
     external = gkleisli(
         Arrow(NAT, NAT),
-        lambda n: lambda s: gkleisli(NAT, lambda x: TREE_MODEL.nat(x + n), s),
+        lambda n: lambda s: gkleisli(NAT, lambda x: x + n, s),
         graft_of(d),
     )
     probe_tree = Branch(0, lambda y: Leaf(y))
-    ext_tree = external(graft_of(probe_tree)).run(Leaf)
+    ext_tree = as_tree(external(graft_of(probe_tree)))
     int_val = apply_set(internal, encode(probe_tree, NAT))
     for alpha in [Oracle((3, 1), 0), Oracle((), 2)]:
         want = dieval(ext_tree, alpha)
@@ -175,6 +176,23 @@ def test_translate_numeral_folds_to_its_value():
     idh = ev("fun (z : nat) -> z")
     bh = ev("fun (g : nat -> nat) -> fun (x : nat) -> g x")
     assert apply_set(apply_set(folded, idh), bh) == NatV(2)
+
+
+def test_translate_takes_a_deep_numeral_at_the_default_recursion_limit():
+    t, out, limit = term("fun (a : nat -> nat) -> 1500"), [], sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        thread = threading.Thread(target=lambda: out.append(translate(t, NAT)))
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(out) == 1  # the thread raised if it is empty
+    zero, succ = translate(numeral(0), NAT), translate(numeral(1), NAT).fn
+    body, n = out[0].body, 0
+    while isinstance(body, App) and body.fn == succ:
+        body, n = body.arg, n + 1
+    assert (n, body) == (1500, zero)
 
 
 @pytest.mark.parametrize("motive", MOTIVES)

@@ -3,11 +3,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extensional import functor_map, generic as reference_generic, graft_of, kleisli
+from extensional import as_tree, functor_map, generic as reference_generic, graft_of, kleisli
 from systemt.dialogue import (
     BAIRE_FN,
-    TREE_MODEL,
     Branch,
+    Graft,
     Leaf,
     Oracle,
     TypeMismatch,
@@ -19,11 +19,10 @@ from systemt.dialogue import (
     tree_sexpr,
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
-from systemt.set_model import apply_set, eval_set, lift_oracle
+from systemt.set_model import Model, apply_set, eval_set, lift_oracle
 from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, numeral, parse, typecheck
 
 identity = lambda i: i
-nat = TREE_MODEL.nat
 
 
 def term(src):
@@ -153,27 +152,36 @@ def test_functor_map_leaf():
 
 
 def test_gkleisli_ground_delegates_to_kleisli():
-    fn = lambda n: nat(n + 3)
-    assert gkleisli(NAT, fn, nat(5)).run(Leaf) == Leaf(8)
+    fn = lambda n: n + 3
+    assert as_tree(gkleisli(NAT, fn, 5)) == Leaf(8)
 
 
 def test_gkleisli_unit_at_ground():
-    assert gkleisli(NAT, nat, nat(5)).run(Leaf) == Leaf(5)
+    assert as_tree(gkleisli(NAT, lambda n: n, 5)) == Leaf(5)
 
 
 def test_gkleisli_arrow_applies_pointwise():
     # at nat -> nat over a leaf, grafting just applies the function at the leaf
-    fn = lambda n: lambda s: gkleisli(NAT, lambda m: nat(m + n), s)
-    out = gkleisli(Arrow(NAT, NAT), fn, nat(5))
-    probe = nat(10)
-    assert dieval(out(probe).run(Leaf), identity) == dieval(fn(5)(probe).run(Leaf), identity) == 15
+    fn = lambda n: lambda s: gkleisli(NAT, lambda m: m + n, s)
+    out = gkleisli(Arrow(NAT, NAT), fn, 5)
+    probe = 10
+    assert dieval(as_tree(out(probe)), identity) == dieval(as_tree(fn(5)(probe)), identity) == 15
+
+
+def test_gkleisli_applies_fn_once_to_an_int_at_a_function_type():
+    # KE f (eta n) = f n: no graft, so fn runs once however often its result is applied
+    calls = []
+    fn = lambda n: calls.append(n) or (lambda s: gkleisli(NAT, lambda m: m + n, s))
+    out = gkleisli(Arrow(NAT, NAT), fn, 5)
+    assert [out(s) for s in range(4)] == [5, 6, 7, 8]
+    assert calls == [5]
 
 
 def test_gkleisli_grafts_as_the_reference_kleisli_on_generated_trees():
     graft = lambda n: Branch(n % 4, lambda y: Leaf(y + n))
     for seed in range(20):
         d = gen_tree(GenConfig(seed=seed))
-        got = gkleisli(NAT, lambda n: graft_of(graft(n)), graft_of(d)).run(Leaf)
+        got = as_tree(gkleisli(NAT, lambda n: graft_of(graft(n)), graft_of(d)))
         want = kleisli(graft, d)
         for alpha in ORACLES + [gen_oracle(GenConfig(seed=seed + 1))]:
             assert dieval(got, alpha) == dieval(want, alpha), f"seed {seed} oracle {alpha.spec()}"
@@ -183,17 +191,24 @@ def test_gkleisli_grafts_as_the_reference_kleisli_on_generated_trees():
 
 
 def test_eval_dial_zero_and_numerals():
-    assert eval_dial(term("zero")).run(Leaf) == Leaf(0)
-    assert eval_dial(numeral(3)).run(Leaf) == Leaf(3)
+    assert as_tree(eval_dial(term("zero"))) == Leaf(0)
+    assert as_tree(eval_dial(numeral(3))) == Leaf(3)
+
+
+def test_a_natural_that_asks_nothing_is_a_plain_int():
+    assert type(eval_dial(numeral(3))) is int
+    assert type(eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))) is int
+    assert Graft.__slots__ == ("run",)
+    assert Model._fields == ("plus", "rec")
 
 
 def test_eval_dial_pure_rec():
     out = eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))
-    assert out.run(Leaf) == Leaf(2)
+    assert as_tree(out) == Leaf(2)
 
 
 def test_eval_dial_deep_numeral():
-    assert eval_dial(numeral(3000)).run(Leaf) == Leaf(3000)
+    assert as_tree(eval_dial(numeral(3000))) == Leaf(3000)
 
 
 # -- differential check of the staged tree model -------------------------------
@@ -264,7 +279,7 @@ def test_tree_model_recursor_fast_paths_match_reference(src, expect):
     staged, ref = eval_dial(fn), reference_dial(fn)
     args = [Leaf(n) for n in [0, 1, 2, 17, 400]] + [reference_generic(Leaf(3))]
     for arg in args:
-        got, want = staged(graft_of(arg)).run(Leaf), ref(arg)
+        got, want = as_tree(staged(graft_of(arg))), ref(arg)
         for alpha in ORACLES:
             assert dieval(got, alpha) == dieval(want, alpha) == expect(dieval(arg, alpha))
 
@@ -273,7 +288,7 @@ def test_tree_model_recursor_fast_paths_match_reference(src, expect):
 
 
 def test_generic_on_leaf():
-    g = generic(nat(2)).run(Leaf)
+    g = as_tree(generic(2))
     assert isinstance(g, Branch) and g.query == 2
     assert g.children(9) == Leaf(9)
     assert dieval(g, identity) == 2
@@ -283,7 +298,7 @@ def test_generic_on_leaf():
 @given(trees, st.integers(0, 3))
 def test_generic_commuting_square(d, idx):
     alpha = ORACLES[idx]
-    assert dieval(generic(graft_of(d)).run(Leaf), alpha) == alpha(dieval(d, alpha))
+    assert dieval(as_tree(generic(graft_of(d))), alpha) == alpha(dieval(d, alpha))
 
 
 # -- dialogue_tree -----------------------------------------------------------------

@@ -180,6 +180,17 @@ def test_every_suite_catches_a_fault(monkeypatch, suite):
             assert infer(typecheck(parse(failure.term)), ()) == BAIRE_FN
 
 
+def test_thm55_catches_a_modulus_its_sampled_prefixes_refute(monkeypatch):
+    # the modulus is one short and the tree max one short to match, so the
+    # first comparison passes and only the prefixes can catch the fault
+    max_bool_question = moduli.max_bool_question
+    monkeypatch.setattr(moduli, "modulus_uni_int", moduli.max_bool_question_int)
+    monkeypatch.setattr(moduli, "max_bool_question", lambda tree: max_bool_question(tree) - 1)
+    report = run_suite("thm55", GenConfig(seed=0), 30, 0, corpus_terms())
+    assert report.failures
+    assert all("not respected" in failure.detail for failure in report.failures)
+
+
 def test_corrupted_translation_is_caught_with_shrunk_witness(monkeypatch):
     original = church.translate
 

@@ -258,7 +258,7 @@ def test_an_identity_step_returns_the_base_at_a_function_motive():
     term = typecheck(parse(src))
     for n in [0, 1, 50]:
         assert apply_set(apply_set(eval_set(term), natv(n)), natv(4)) == NatV(5)
-        assert eval_dial(term)(TREE_MODEL.nat(n))(TREE_MODEL.nat(4)).leaf == 5
+        assert eval_dial(term)(n)(4) == 5
 
 
 def test_a_step_that_only_adds_costs_the_same_calls_at_any_count():
