@@ -5,10 +5,10 @@ query and whose children are indexed by the possible answers.  Children are
 represented as total functions, so trees over the full answer alphabet of
 naturals stay finite objects; materialization happens only when printing.
 
-The tree model is the record `TREE_MODEL` for the staged compiler in
+The tree model is the function `TREE_MODEL` for the staged compiler in
 `set_model`, which serves both models.  As in the set model, a natural that
 asks nothing is a plain `int` and a function value a plain Python callable; a
-natural that asks is a `Graft`.
+natural that asks is a `Graft`, which adds with `+` as an `int` does.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .set_model import Model, compile_term
+from .set_model import Compiled, compile_term
 from .syntax import NAT, Arrow, Term, Ty, arrow, format_ty, infer
 
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
@@ -122,6 +122,10 @@ class Graft:
     def __init__(self, run: Callable[[Callable[[int], DTree]], DTree]):
         self.run = run
 
+    def __add__(self, k: int) -> "Graft":
+        """The functor map of adding k: the same queries, k more at every leaf."""
+        return Graft(lambda c: self.run(lambda n: c(n + k)))
+
 
 #: A value of the tree model: an int asks nothing, a Graft asks.
 DialValue = Union[int, Graft, Callable]
@@ -144,17 +148,10 @@ def generic(tree: "int | Graft") -> Graft:
     return gkleisli(NAT, lambda n: Graft(lambda k: Branch(n, k)), tree)
 
 
-#: The tree model: a natural that asks is the tree of queries that computes it,
-#: and plus and the recursor are grafted onto every leaf of its tree.
-TREE_MODEL = Model(
-    plus=lambda corec, k: lambda env: gkleisli(NAT, lambda n: n + k, corec(env)),
-    rec=lambda motive, argc, iterate: lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env)),
-)
-
-
-def eval_dial(term: Term) -> DialValue:
-    """Evaluate a closed, well-typed term in the tree model."""
-    return compile_term(term, TREE_MODEL)(())
+def TREE_MODEL(motive: Ty, argc: Compiled, iterate) -> Compiled:
+    """The tree model: a natural that asks is the tree of queries that computes
+    it, and the recursor is grafted onto every leaf of its tree."""
+    return lambda env: gkleisli(motive, lambda n: iterate(env, n), argc(env))
 
 
 def require_baire_fn(term: Term) -> None:
@@ -167,7 +164,7 @@ def require_baire_fn(term: Term) -> None:
 def dialogue_tree(term: Term) -> DTree:
     """The tree of queries a closed term of type (nat -> nat) -> nat performs."""
     require_baire_fn(term)
-    out = eval_dial(term)(generic)
+    out = compile_term(term, TREE_MODEL)(())(generic)
     return Leaf(out) if type(out) is int else out.run(Leaf)
 
 

@@ -338,16 +338,13 @@ class _Views:
     def uniform_max(self) -> int:
         return moduli.max_bool_question(moduli.prune(self.tree))
 
-    def value_at(self, alpha: Oracle) -> int:
-        return self.value(alpha)
-
 
 def _differ(lhs: int, rhs: int, detail: str) -> Optional[str]:
     return None if lhs == rhs else detail.format(lhs, rhs)
 
 
 def _thm16(v: _Views, alpha: Oracle) -> Optional[str]:
-    return _differ(v.value_at(alpha), dialogue.dieval(v.tree, alpha), "set model {} != dialogue {}")
+    return _differ(v.value(alpha), dialogue.dieval(v.tree, alpha), "set model {} != dialogue {}")
 
 
 def _lem36(v: _Views, alpha: Oracle) -> Optional[str]:
@@ -356,7 +353,7 @@ def _lem36(v: _Views, alpha: Oracle) -> Optional[str]:
 
 def _thm37(v: _Views, alpha: Oracle) -> Optional[str]:
     rhs = v.internal_dialogue(alpha)
-    return _differ(v.value_at(alpha), rhs, "set model {} != internal dialogue {}")
+    return _differ(v.value(alpha), rhs, "set model {} != internal dialogue {}")
 
 
 def _pointwise_moduli(tree_view: str):
@@ -429,7 +426,7 @@ def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
     rng = random.Random(_mix(v.seed, hash((alpha.prefix, alpha.default)) & 0xFFFF))
     for _ in range(50):
         beta = agreeing_oracle(alpha, m, rng)
-        got = v.value_at(beta)
+        got = v.value(beta)
         if got != want:
             return (
                 f"modulus {m} not respected: value {want} at {alpha.spec()}"
@@ -464,10 +461,10 @@ def _thm55(v: _Views, _: None) -> Optional[str]:
     prefixes = product((0, 1), repeat=m) if m <= 12 else (bits(m) for _ in range(200))
     for prefix in prefixes:
         a, b = (Oracle(prefix + bits(rng.randint(0, 6)), bits(1)[0]) for _ in range(2))
-        if v.value_at(a) != v.value_at(b):
+        if v.value(a) != v.value(b):
             return (
                 f"uniform modulus {m} not respected:"
-                f" {v.value_at(a)} at {a.spec()} vs {v.value_at(b)} at {b.spec()}"
+                f" {v.value(a)} at {a.spec()} vs {v.value(b)} at {b.spec()}"
             )
     return None
 

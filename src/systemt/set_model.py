@@ -6,20 +6,21 @@ term again, and a closed constant recorded with `share` compiles once per
 model.  The same compiler serves the set model here, where terms evaluate to
 numbers and host functions, and the tree model in `dialogue`, where a natural
 may ask the oracle.  Following effectful forcing, both models keep a natural
-that asks nothing as a plain `int`, so a `Model` record holds just the two
-combinators that bind a natural.  A function value is a plain Python callable,
-and no ground value is callable (a natural that asks is a `Graft`), so compiled
-closures pass ground values unboxed, and Python's own call raises `TypeError`
-on one applied as a function.  `NatV` boxes naturals only at the public
-boundary: `eval_set` returns one for a closed term of type nat, and `apply_set`
-takes a `NatV` or an `int` and returns a `NatV` at ground.
+that asks nothing as a plain `int` and add to a natural with Python's `+`, so
+a model is one function: how its recursor binds the natural it runs on.  A
+function value is a plain Python callable, and no ground value is callable (a
+natural that asks is a `Graft`), so compiled closures pass ground values
+unboxed, and Python's own call raises `TypeError` on one applied as a
+function.  `NatV` boxes naturals only at the public boundary: `eval_set`
+returns one for a closed term of type nat, and `apply_set` takes a `NatV` or
+an `int` and returns a `NatV` at ground.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
 
@@ -36,16 +37,10 @@ SetValue = Union[int, Callable]
 Compiled = Callable[[tuple], object]
 
 
-class Model(NamedTuple):
-    """How a model of System T binds a natural.  plus and rec are compile-time
-    combinators: they build a closure once, so a compiled term never looks
-    into the record at run time."""
-
-    #: plus(c, k): a closure adding k to the ground value c computes
-    plus: Callable[[Compiled, int], Compiled]
-    #: rec(motive, c, iterate): a closure feeding the scrutinee c computes to
-    #: iterate(env, n), which runs the recursor n times
-    rec: Callable[[Ty, Compiled, Callable[[tuple, int], object]], Compiled]
+#: A model of System T, model(motive, c, iterate): a compile-time combinator
+#: building the closure that feeds the natural c computes to iterate(env, n),
+#: which runs a recursor at the motive n times.
+Model = Callable[[Ty, Compiled, Callable[[tuple, int], object]], Compiled]
 
 
 _SMALL = tuple(NatV(i) for i in range(4096))
@@ -80,11 +75,9 @@ def lift_oracle(alpha) -> Callable[[int], int]:
     return lambda n: _natural(alpha(n))
 
 
-#: The set model: a natural is an int, and the recursor runs on its value.
-SET_MODEL = Model(
-    plus=lambda corec, k: lambda env: corec(env) + k,
-    rec=lambda motive, argc, iterate: lambda env: iterate(env, argc(env)),
-)
+def SET_MODEL(motive: Ty, argc: Compiled, iterate) -> Compiled:
+    """The set model: a natural is an int, and the recursor runs on its value."""
+    return lambda env: iterate(env, argc(env))
 
 
 def eval_set(term: Term) -> Union[NatV, Callable]:
@@ -121,7 +114,8 @@ def compile_term(term: Term, model: Model) -> Compiled:
         k, core = successors(term)
         if isinstance(core, Zero):
             return lambda env: k
-        return model.plus(compile_term(core, model), k)
+        corec = compile_term(core, model)
+        return lambda env: corec(env) + k
     if isinstance(term, Lam):
         bodyc = compile_term(term.body, model)
         return lambda env: lambda v: bodyc((v,) + env)
@@ -130,14 +124,13 @@ def compile_term(term: Term, model: Model) -> Compiled:
         argc = compile_term(term.arg, model)
         return lambda env: fnc(env)(argc(env))  # the function first, then its argument
     if isinstance(term, Rec):
-        return model.rec(term.motive, compile_term(term.arg, model), _compile_iterate(term, model))
+        return model(term.motive, compile_term(term.arg, model), _compile_iterate(term, model))
     raise TypeError(f"not a term: {term!r}")
 
 
 def _compile_iterate(term: Rec, model: Model):
     """The closure iterate(env, n) running the recursor of term n times."""
     basec = compile_term(term.base, model)
-    plus = model.plus
     step = term.step
     if isinstance(step, Lam) and isinstance(step.body, Lam):
         # Uncurried fast path: a syntactic double lambda applied to the index
@@ -149,7 +142,7 @@ def _compile_iterate(term: Rec, model: Model):
             # the tree model as one graft.  With k = 0 it is the identity at any motive.
             if k == 0:
                 return lambda env, n: basec(env)
-            return lambda env, n: plus(basec, k * n)(env)
+            return lambda env, n: basec(env) + k * n
         bodyc = compile_term(body, model)
         if not occurs_free(body, 0):
             # The step never reads the recursive result, so only the last

@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -12,14 +13,14 @@ from systemt.dialogue import (
     Oracle,
     TypeMismatch,
     dialogue_tree,
+    TREE_MODEL,
     dieval,
-    eval_dial,
     generic,
     gkleisli,
     tree_sexpr,
 )
 from systemt.harness import GenConfig, gen_oracle, gen_term, gen_tree
-from systemt.set_model import Model, apply_set, eval_set, lift_oracle
+from systemt.set_model import SET_MODEL, apply_set, compile_term, eval_set, lift_oracle
 from systemt.syntax import NAT, App, Arrow, Lam, Rec, Succ, Var, Zero, numeral, parse, typecheck
 
 identity = lambda i: i
@@ -187,28 +188,43 @@ def test_gkleisli_grafts_as_the_reference_kleisli_on_generated_trees():
             assert dieval(got, alpha) == dieval(want, alpha), f"seed {seed} oracle {alpha.spec()}"
 
 
+def test_adding_to_a_graft_maps_the_reference_functor_on_generated_trees():
+    for seed in range(20):
+        d = gen_tree(GenConfig(seed=seed))
+        for k in (1, 3):
+            got = as_tree(graft_of(d) + k)
+            want = functor_map(lambda n: n + k, d)
+            for alpha in ORACLES + [gen_oracle(GenConfig(seed=seed + 1))]:
+                assert dieval(got, alpha) == dieval(want, alpha), f"seed {seed} k {k} oracle {alpha.spec()}"
+
+
 # -- term evaluation ------------------------------------------------------------
 
 
 def test_eval_dial_zero_and_numerals():
-    assert as_tree(eval_dial(term("zero"))) == Leaf(0)
-    assert as_tree(eval_dial(numeral(3))) == Leaf(3)
+    assert as_tree(compile_term(term("zero"), TREE_MODEL)(())) == Leaf(0)
+    assert as_tree(compile_term(numeral(3), TREE_MODEL)(())) == Leaf(3)
 
 
 def test_a_natural_that_asks_nothing_is_a_plain_int():
-    assert type(eval_dial(numeral(3))) is int
-    assert type(eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))) is int
+    assert type(compile_term(numeral(3), TREE_MODEL)(())) is int
+    pure_rec = term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2")
+    assert type(compile_term(pure_rec, TREE_MODEL)(())) is int
     assert Graft.__slots__ == ("run",)
-    assert Model._fields == ("plus", "rec")
+    # a model is one plain function, the recursor's bind
+    assert all(inspect.isfunction(model) for model in (SET_MODEL, TREE_MODEL))
+    # a natural that asks adds with +, and is still not callable
+    asks = generic(0)
+    assert isinstance(asks + 2, Graft) and not callable(asks) and not callable(asks + 2)
 
 
 def test_eval_dial_pure_rec():
-    out = eval_dial(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"))
+    out = compile_term(term("rec[nat] (fun (n : nat) -> fun (m : nat) -> succ m) zero 2"), TREE_MODEL)(())
     assert as_tree(out) == Leaf(2)
 
 
 def test_eval_dial_deep_numeral():
-    assert as_tree(eval_dial(numeral(3000))) == Leaf(3000)
+    assert as_tree(compile_term(numeral(3000), TREE_MODEL)(())) == Leaf(3000)
 
 
 # -- differential check of the staged tree model -------------------------------
@@ -276,7 +292,7 @@ def test_tree_model_matches_reference_on_generated_terms():
 )
 def test_tree_model_recursor_fast_paths_match_reference(src, expect):
     fn = term(src)
-    staged, ref = eval_dial(fn), reference_dial(fn)
+    staged, ref = compile_term(fn, TREE_MODEL)(()), reference_dial(fn)
     args = [Leaf(n) for n in [0, 1, 2, 17, 400]] + [reference_generic(Leaf(3))]
     for arg in args:
         got, want = as_tree(staged(graft_of(arg))), ref(arg)

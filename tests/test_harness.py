@@ -324,13 +324,18 @@ def test_corrupted_uniform_modulus_is_caught(monkeypatch):
 
 def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
     seen = {}
-    original = harness._Views.value_at
+    original = harness._Views.value  # a cached_property: its first read compiles the term
 
-    def recording(views, alpha):
-        seen.setdefault(views.term, []).append(alpha.spec())
-        return original(views, alpha)
+    def recording(views):
+        value = original.__get__(views, harness._Views)
 
-    monkeypatch.setattr(harness._Views, "value_at", recording)
+        def at(alpha):
+            seen.setdefault(views.term, []).append(alpha.spec())
+            return value(alpha)
+
+        return at
+
+    monkeypatch.setattr(harness._Views, "value", property(recording))
     report = run_suite("thm55", GenConfig(seed=5), n_terms=0, extra_terms=corpus_terms())
     assert report.passed
     terms = dict(zip((name for name, _ in CORPUS), corpus_terms()))

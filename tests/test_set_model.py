@@ -5,7 +5,7 @@ import pytest
 
 from systemt import set_model
 from systemt.church import dialogue_tree_int, generic_int, leaf_int
-from systemt.dialogue import TREE_MODEL, Oracle, dialogue_tree, dieval, eval_dial, tree_sexpr
+from systemt.dialogue import TREE_MODEL, Oracle, dialogue_tree, dieval, tree_sexpr
 from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term
 from systemt.moduli import max_term, modulus_int
 from systemt.set_model import (
@@ -160,7 +160,7 @@ def test_compiled_application_of_a_number_panics():
     with pytest.raises(TypeError):
         eval_set(App(Zero(), Zero()))
     with pytest.raises(TypeError):
-        eval_dial(App(Zero(), Zero()))
+        compile_term(App(Zero(), Zero()), TREE_MODEL)(())
 
 
 # -- lift_oracle ----------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_an_identity_step_returns_the_base_at_a_function_motive():
     term = typecheck(parse(src))
     for n in [0, 1, 50]:
         assert apply_set(apply_set(eval_set(term), natv(n)), natv(4)) == NatV(5)
-        assert eval_dial(term)(n)(4) == 5
+        assert compile_term(term, TREE_MODEL)(())(n)(4) == 5
 
 
 def test_a_step_that_only_adds_costs_the_same_calls_at_any_count():
@@ -302,6 +302,36 @@ def test_max_term_costs_a_bounded_number_of_calls_per_step():
         sys.setprofile(None)
     assert out == NatV(y)
     assert calls <= 3 * y + 9
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="opcode counts are those of CPython 3.11's bytecode",
+)
+def test_max_term_executes_a_bounded_number_of_opcodes_per_step():
+    # the call count above misses a call into C, such as int(k), put into a
+    # step; every opcode counts here, and the count does not vary run to run
+    fx = apply_set(eval_set(max_term()), natv(200))
+
+    def opcodes_at(y):
+        ops = 0
+
+        def trace(frame, event, arg):
+            nonlocal ops
+            frame.f_trace_opcodes = True
+            ops += event == "opcode"
+            return trace
+
+        sys.settrace(trace)
+        try:
+            out = apply_set(fx, natv(y))
+        finally:
+            sys.settrace(None)
+        assert out == NatV(200)
+        return ops
+
+    assert (opcodes_at(200) - opcodes_at(100)) / 100 <= 40
+    assert opcodes_at(0) <= 125
 
 
 # -- closed constants, compiled once per model --------------------------------
