@@ -2,23 +2,23 @@
 
 `compile_term` compiles a term once into nested Python closures over
 environments; the result is applied any number of times without walking the
-term again, and a closed constant recorded with `share` compiles once per
-model.  The same compiler serves the set model here, where terms evaluate to
-numbers and host functions, and the tree model in `dialogue`, where a natural
-may ask the oracle.  Following effectful forcing, both models keep a natural
-that asks nothing as a plain `int` and add to a natural with Python's `+`, so
-a model is one function: how its recursor binds the natural it runs on.  A
-function value is a plain Python callable, and no ground value is callable (a
-natural that asks is a `Graft`), so compiled closures pass ground values
-unboxed, and Python's own call raises `TypeError` on one applied as a
-function.  `NatV` boxes naturals only at the public boundary: `eval_set`
-returns one for a closed term of type nat, and `apply_set` takes a `NatV` or
-an `int` and returns a `NatV` at ground.
+term again.  A closed constant recorded with `share` is built once per model
+as native lambdas (`_native`).  The same compiler serves the set model here,
+where terms evaluate to numbers and host functions, and the tree model in
+`dialogue`, where a natural may ask the oracle.  Following effectful forcing,
+both models keep a natural that asks nothing as a plain `int` and add to a
+natural with Python's `+`, so a model is one function: how its recursor binds
+the natural it runs on.  A function value is a plain Python callable, and no
+ground value is callable (a natural that asks is a `Graft`), so compiled
+closures pass ground values unboxed, and Python's own call raises `TypeError`
+on one applied as a function.  `NatV` boxes naturals only at the public
+boundary: `eval_set` returns one for a closed term of type nat, and
+`apply_set` takes a `NatV` or an `int` and returns a `NatV` at ground.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Union
 
@@ -102,8 +102,8 @@ def compile_term(term: Term, model: Model) -> Compiled:
     shared = _SHARED.get(id(term))
     if shared is not None:
         values = shared[1]
-        if model not in values:  # a copy is not recorded, so it compiles as usual
-            values[model] = compile_term(replace(term), model)(())
+        if model not in values:
+            values[model] = _native(term, model)
         value = values[model]
         return lambda env: value
     if isinstance(term, Var):
@@ -126,6 +126,36 @@ def compile_term(term: Term, model: Model) -> Compiled:
     if isinstance(term, Rec):
         return model(term.motive, compile_term(term.arg, model), _compile_iterate(term, model))
     raise TypeError(f"not a term: {term!r}")
+
+
+def _native(term: Term, model: Model):
+    """A shared constant's value: one Python expression of lambdas, evaluated
+    once.  Binder d is v<d>; a nested constant, or the closure `compile_term`
+    builds for a `Rec`, is the global c<i>.  Only `church.closed` calls
+    `share`, so `eval` sees generated names and integers, never user text."""
+    consts = []
+    def const(value) -> str:
+        consts.append(value)
+        return f"c{len(consts) - 1}"
+
+    def emit(t: Term, depth: int) -> str:
+        if t is not term and id(t) in _SHARED:
+            return const(compile_term(t, model)(()))
+        if isinstance(t, Var):
+            return f"v{depth - 1 - t.index}"
+        if isinstance(t, (Zero, Succ)):
+            k, core = successors(t)
+            return str(k) if isinstance(core, Zero) else f"({emit(core, depth)} + {k})"
+        if isinstance(t, Lam):
+            return f"(lambda v{depth}: {emit(t.body, depth + 1)})"
+        if isinstance(t, App):
+            return f"{emit(t.fn, depth)}({emit(t.arg, depth)})"
+        if isinstance(t, Rec):  # the recursor keeps its one compiler, run on the binders as its environment
+            env = "".join(f"v{d}, " for d in reversed(range(depth)))
+            return f"{const(compile_term(t, model))}(({env}))"
+        raise TypeError(f"not a term: {t!r}")
+
+    return eval(emit(term, 0), {"__builtins__": {}, **{f"c{i}": value for i, value in enumerate(consts)}})
 
 
 def _compile_iterate(term: Rec, model: Model):
