@@ -130,17 +130,12 @@ def compile_term(term: Term, model: Model) -> Compiled:
 
 def _native(term: Term, model: Model):
     """A shared constant's value: one Python expression of lambdas, evaluated
-    once.  Binder d is v<d>; a nested constant, or the closure `compile_term`
-    builds for a `Rec`, is the global c<i>.  Only `church.closed` calls
-    `share`, so `eval` sees generated names and integers, never user text."""
-    consts = []
-    def const(value) -> str:
-        consts.append(value)
-        return f"c{len(consts) - 1}"
+    once.  Binder d is v<d>, and the closure `compile_term` builds for a `Rec`
+    is the global c<i>.  Only `church.closed` calls `share`, so `eval` sees
+    generated names and integers, never user text."""
+    recs = []
 
     def emit(t: Term, depth: int) -> str:
-        if t is not term and id(t) in _SHARED:
-            return const(compile_term(t, model)(()))
         if isinstance(t, Var):
             return f"v{depth - 1 - t.index}"
         if isinstance(t, (Zero, Succ)):
@@ -151,11 +146,11 @@ def _native(term: Term, model: Model):
         if isinstance(t, App):
             return f"{emit(t.fn, depth)}({emit(t.arg, depth)})"
         if isinstance(t, Rec):  # the recursor keeps its one compiler, run on the binders as its environment
-            env = "".join(f"v{d}, " for d in reversed(range(depth)))
-            return f"{const(compile_term(t, model))}(({env}))"
+            recs.append(compile_term(t, model))
+            return f"c{len(recs) - 1}(({''.join(f'v{d}, ' for d in reversed(range(depth)))}))"
         raise TypeError(f"not a term: {t!r}")
 
-    return eval(emit(term, 0), {"__builtins__": {}, **{f"c{i}": value for i, value in enumerate(consts)}})
+    return eval(emit(term, 0), {"__builtins__": {}, **{f"c{i}": rec for i, rec in enumerate(recs)}})
 
 
 def _compile_iterate(term: Rec, model: Model):

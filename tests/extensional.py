@@ -127,13 +127,13 @@ def values_agree(ty: Ty, a: SetValue, b: SetValue, rng: random.Random, depth: in
     """Compare two values extensionally at ty by probing with definable points."""
     if ty == NAT:
         return a.value == b.value
-    for probe in _probes(ty.domain, rng, depth):
+    for probe in probes(ty.domain, rng, depth):
         if not values_agree(ty.codomain, apply_set(a, probe), apply_set(b, probe), rng, depth):
             return False
     return True
 
 
-def _probes(ty: Ty, rng: random.Random, depth: int):
+def probes(ty: Ty, rng: random.Random, depth: int):
     if ty == NAT:
         return [natv(rng.randint(0, 20)) for _ in range(depth)]
     if ty == Arrow(NAT, NAT):

@@ -179,20 +179,45 @@ def test_translate_numeral_folds_to_its_value():
 
 
 def test_translate_takes_a_deep_numeral_at_the_default_recursion_limit():
-    t, out, limit = term("fun (a : nat -> nat) -> 1500"), [], sys.getrecursionlimit()
+    t = term("fun (a : nat -> nat) -> 1500")
+    translated = on_a_fresh_thread_at_the_default_limit(lambda: translate(t, NAT))
+    zero, succ = translate(numeral(0), NAT), translate(numeral(1), NAT).fn
+    body, n = translated.body, 0
+    while isinstance(body, App) and body.fn == succ:
+        body, n = body.arg, n + 1
+    assert (n, body) == (1500, zero)
+
+
+def on_a_fresh_thread_at_the_default_limit(fn):
+    """fn's outcome, run on a new thread at Python's default recursion limit."""
+    out, limit = [], sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        thread = threading.Thread(target=lambda: out.append(translate(t, NAT)))
+        thread = threading.Thread(target=lambda: out.append(fn()))
         thread.start()
         thread.join(timeout=60)
     finally:
         sys.setrecursionlimit(limit)
     assert len(out) == 1  # the thread raised if it is empty
-    zero, succ = translate(numeral(0), NAT), translate(numeral(1), NAT).fn
-    body, n = out[0].body, 0
-    while isinstance(body, App) and body.fn == succ:
-        body, n = body.arg, n + 1
-    assert (n, body) == (1500, zero)
+    return out[0]
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [
+        ("a (" * 160 + "0" + ")" * 160, 160),  # asks 0, 1, ..., 159 of a i = i + 1
+        ("succ (" * 320 + "a 0" + ")" * 320, 1),
+    ],
+    ids=["160 nested queries", "320 successors"],
+)
+def test_internal_modulus_takes_deep_terms_at_the_default_recursion_limit(src, want):
+    # the paper's route, through System T and the set model; the shared
+    # constants run as native lambdas, so a nested query costs few frames
+    def internal_modulus():
+        t = term(f"fun (a : nat -> nat) -> {src}")  # here, as pytest's own frames would tip a deep parse over
+        return apply_set(apply_set(eval_set(modulus_int()), eval_set(dialogue_tree_int(t, NAT))), lambda i: i + 1)
+
+    assert on_a_fresh_thread_at_the_default_limit(internal_modulus) == NatV(want)
 
 
 @pytest.mark.parametrize("motive", MOTIVES)

@@ -24,6 +24,7 @@ from systemt.set_model import NatV, eval_set
 from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero, infer, numeral, parse, pretty, typecheck
 
 from extensional import hee_check
+from test_church import on_a_fresh_thread_at_the_default_limit
 
 
 # -- generation -----------------------------------------------------------------
@@ -404,6 +405,17 @@ def test_one_pass_reports_what_separate_runs_report_under_each_planted_fault(mon
     failed = {r.suite: r.failures for r in _one_pass_as_separate_runs() if r.failures}
     assert suite in failed
     assert all(failure.term is None for failure in failed.get("lem36", ()))  # a tree has no term
+
+
+def test_run_suites_takes_a_deep_generated_term_at_the_default_recursion_limit():
+    # generated term 140 of seed 101 is among the deepest the default run
+    # draws: its internal modulus needed a limit of 1004 while the shared
+    # constants ran as closures, so run_suites raised outside cli's worker
+    term = gen_term(GenConfig(seed=harness._mix(101, 140)), BAIRE_FN)
+    scales = {suite: (0, oracles) for suite, (_, _, oracles) in harness.SUITES.items() if suite != "lem36"}
+    reports = on_a_fresh_thread_at_the_default_limit(lambda: run_suites(scales, GenConfig(seed=101), [term]))
+    assert [r.suite for r in reports] == list(scales)
+    assert all(r.passed and r.cases == max(1, scales[r.suite][1]) for r in reports)
 
 
 def test_one_pass_builds_each_view_once_per_term(monkeypatch):

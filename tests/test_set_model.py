@@ -1,13 +1,26 @@
+import random
+import re
 import sys
 from dataclasses import replace
 
 import pytest
 
-from systemt import set_model
-from systemt.church import dialogue_tree_int, generic_int, leaf_int
+from systemt import church, set_model
+from systemt.church import (
+    branch_int,
+    church_type,
+    dialogue_f_int,
+    dialogue_tree_int,
+    encode,
+    functor_int,
+    generic_int,
+    gkleisli_int,
+    kleisli_int,
+    leaf_int,
+)
 from systemt.dialogue import TREE_MODEL, Oracle, dialogue_tree, dieval, tree_sexpr
-from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term
-from systemt.moduli import max_term, modulus_int
+from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term, gen_tree
+from systemt.moduli import max_bool_question_int, max_question_int, max_term, modulus, modulus_int, modulus_uni_int
 from systemt.set_model import (
     SET_MODEL,
     NatV,
@@ -30,8 +43,11 @@ from systemt.syntax import (
     infer,
     numeral,
     parse,
+    pretty,
     typecheck,
 )
+
+from extensional import probes
 
 BAIRE_FN = arrow(Arrow(NAT, NAT), NAT)
 
@@ -334,6 +350,28 @@ def test_max_term_executes_a_bounded_number_of_opcodes_per_step():
     assert opcodes_at(0) <= 125
 
 
+def test_internal_moduli_cost_a_bounded_number_of_calls():
+    # the corpus' internal moduli at three oracles: the shared constants that
+    # fold the encoded trees run as native lambdas, not as a closure per node
+    m = eval_set(modulus_int())
+    terms = corpus_terms()
+    applied = [m(eval_set(dialogue_tree_int(t, NAT))) for t in terms]
+    oracles = (Oracle((), 0), Oracle((), 1), Oracle((3, 1, 4, 1, 5), 2))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        out = [f(alpha) for f in applied for alpha in oracles]
+    finally:
+        sys.setprofile(None)
+    assert out == [modulus(dialogue_tree(t), alpha) for t in terms for alpha in oracles]
+    assert calls <= 2700
+
+
 # -- closed constants, compiled once per model --------------------------------
 
 
@@ -364,14 +402,77 @@ def test_translated_terms_build_the_generic_value_once(monkeypatch):
     # a fresh entry, so the count does not depend on what ran before
     monkeypatch.setitem(set_model._SHARED, id(generic), (generic, {}))
     builds = 0
-    original = compile_term
+    original = set_model._native
 
     def counting(term, model):
         nonlocal builds
-        builds += term == generic and term is not generic  # a build compiles a copy
+        builds += term is generic
         return original(term, model)
 
-    monkeypatch.setattr(set_model, "compile_term", counting)
+    monkeypatch.setattr(set_model, "_native", counting)
     for term in corpus_terms()[:2]:
         eval_set(dialogue_tree_int(term, NAT))
     assert builds == 1
+
+
+# -- closed constants, built as native lambdas ------------------------------------
+
+
+def shared_constants():
+    """Every closed constant of `church` and `moduli`, the church ones at the
+    motives nat and (nat -> nat) -> nat, as (motive, term)."""
+    rows = []
+    for motive in (NAT, BAIRE_FN):
+        rows += [(motive, fn(motive)) for fn in (leaf_int, branch_int, kleisli_int, functor_int, generic_int)]
+        rows += [(motive, gkleisli_int(sigma, motive)) for sigma in (NAT, Arrow(NAT, NAT), BAIRE_FN)]
+        rows += [(motive, t) for t in church._numerals(motive)]
+    rows.append((BAIRE_FN, dialogue_f_int()))
+    rows += [(NAT, fn()) for fn in (max_term, max_question_int, modulus_int, max_bool_question_int, modulus_uni_int)]
+    assert all(id(t) in set_model._SHARED for _, t in rows)
+    return rows
+
+
+def agree_at_ground(ty, a, b, motive, rng, width=2):
+    """a and b give the same naturals on probes of each argument type: encoded
+    generated trees, generated oracles, and otherwise `extensional`'s probes."""
+    if ty == NAT:
+        return a == b
+    if ty.domain == church_type(NAT, motive):
+        points = [encode(gen_tree(GenConfig(seed=rng.randrange(2**32))), motive) for _ in range(width)]
+    elif ty.domain == Arrow(NAT, NAT):
+        points = [gen_oracle(GenConfig(seed=rng.randrange(2**32))) for _ in range(width)]
+    else:
+        points = probes(ty.domain, rng, width)
+    return all(
+        agree_at_ground(ty.codomain, apply_set(a, p), apply_set(b, p), motive, rng, width) for p in points
+    )
+
+
+@pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
+def test_native_constants_agree_with_their_closures(model):
+    rng = random.Random(23)
+    for motive, constant in shared_constants():
+        native, closures = value_of(constant, model), value_of(replace(constant), model)
+        assert native is not closures and callable(native)
+        for _ in range(3):
+            assert agree_at_ground(infer(constant), native, closures, motive, rng), pretty(constant)
+
+
+def test_native_source_holds_only_generated_names_and_integers(monkeypatch):
+    """Only `church.closed` calls `share`, on a typechecked term built from the
+    library's own source texts, so no user text can reach `eval`; what does
+    reach it is lambdas over generated names, integers, `+` and calls of the
+    globals c<i>, with no builtins."""
+    built = []
+    monkeypatch.setattr(set_model, "eval", lambda src, env: built.append((src, env)) or eval(src, env), raising=False)
+    rows = shared_constants()
+    for _, constant in rows:  # fresh entries, so every constant builds here
+        monkeypatch.setitem(set_model._SHARED, id(constant), (constant, {}))
+    for _, constant in rows:
+        value_of(constant)
+    assert len(built) == len({id(t) for _, t in rows})
+    for src, env in built:
+        assert re.fullmatch(r"(lambda|[vc]\d+|\d+|[ :+,()])*", src), src
+        assert env.pop("__builtins__") == {}
+        assert list(env) == [f"c{i}" for i in range(len(env))] and all(map(callable, env.values()))
+        assert set(re.findall(r"c\d+", src)) == set(env)
