@@ -178,16 +178,6 @@ def test_translate_numeral_folds_to_its_value():
     assert apply_set(apply_set(folded, idh), bh) == NatV(2)
 
 
-def test_translate_takes_a_deep_numeral_at_the_default_recursion_limit():
-    t = term("fun (a : nat -> nat) -> 1500")
-    translated = on_a_fresh_thread_at_the_default_limit(lambda: translate(t, NAT))
-    zero, succ = translate(numeral(0), NAT), translate(numeral(1), NAT).fn
-    body, n = translated.body, 0
-    while isinstance(body, App) and body.fn == succ:
-        body, n = body.arg, n + 1
-    assert (n, body) == (1500, zero)
-
-
 def on_a_fresh_thread_at_the_default_limit(fn):
     """fn's outcome, run on a new thread at Python's default recursion limit."""
     out, limit = [], sys.getrecursionlimit()
@@ -200,6 +190,16 @@ def on_a_fresh_thread_at_the_default_limit(fn):
         sys.setrecursionlimit(limit)
     assert len(out) == 1  # the thread raised if it is empty
     return out[0]
+
+
+def test_translate_takes_a_deep_numeral_at_the_default_recursion_limit():
+    t = term("fun (a : nat -> nat) -> 1500")
+    translated = on_a_fresh_thread_at_the_default_limit(lambda: translate(t, NAT))
+    zero, succ = translate(numeral(0), NAT), translate(numeral(1), NAT).fn
+    body, n = translated.body, 0
+    while isinstance(body, App) and body.fn == succ:
+        body, n = body.arg, n + 1
+    assert (n, body) == (1500, zero)
 
 
 @pytest.mark.parametrize(
