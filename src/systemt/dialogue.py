@@ -180,15 +180,16 @@ def tree_sexpr(tree: DTree, answers: int, depth: int) -> str:
     of more than PRINT_NODES nodes, markers included, raises ValueError.
     """
     allowed = iter(range(PRINT_NODES))  # one item for each node that may print
+    return _sexpr(tree, answers, depth, allowed)
 
-    def sexpr(tree: DTree, depth: int) -> str:
-        if next(allowed, None) is None:
-            raise ValueError(f"the tree has more than {PRINT_NODES} nodes to print")
-        if isinstance(tree, Leaf):
-            return f"(leaf {tree.value})"
-        if depth <= 0:
-            return "(...)"
-        kids = " ".join(f"({a} {sexpr(tree.children(a), depth - 1)})" for a in range(answers))
-        return f"(branch {tree.query} {kids})"
 
-    return sexpr(tree, depth)
+def _sexpr(tree: DTree, answers: int, depth: int, allowed) -> str:
+    # not a closure over itself, which would leave a reference cycle per call
+    if next(allowed, None) is None:
+        raise ValueError(f"the tree has more than {PRINT_NODES} nodes to print")
+    if isinstance(tree, Leaf):
+        return f"(leaf {tree.value})"
+    if depth <= 0:
+        return "(...)"
+    kids = " ".join(f"({a} {_sexpr(tree.children(a), answers, depth - 1, allowed)})" for a in range(answers))
+    return f"(branch {tree.query} {kids})"

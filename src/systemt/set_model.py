@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Union
 
-from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
+from .syntax import SUBTERMS, App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ def _native(term: Term, model: Model):
     """A shared constant's value: one Python expression of lambdas, evaluated
     once.  Binder d is v<d>, and the closure `compile_term` builds for a `Rec`
     is the global c<i>.  Only `church.closed` calls `share`, so `eval` sees
-    generated names and integers, never user text."""
+    generated names and integers, never user text.  The parser writes each
+    nested constant out in full, so the term is first reduced (`_reduce`):
+    every use would otherwise pay a frame per curried argument of each copy."""
     recs = []
 
     def emit(t: Term, depth: int) -> str:
@@ -150,7 +152,29 @@ def _native(term: Term, model: Model):
             return f"c{len(recs) - 1}(({''.join(f'v{d}, ' for d in reversed(range(depth)))}))"
         raise TypeError(f"not a term: {t!r}")
 
-    return eval(emit(term, 0), {"__builtins__": {}, **{f"c{i}": rec for i, rec in enumerate(recs)}})
+    return eval(emit(_reduce(term), 0), {"__builtins__": {}, **{f"c{i}": rec for i, rec in enumerate(recs)}})
+
+
+def _reduce(t: Term, var=None, depth: int = 0) -> Term:
+    """t with each free index i, under depth binders, replaced by var(i, depth),
+    and every redex reduced whose argument is a value: a lambda, or succ^k of
+    zero or of a variable.  Evaluating a value runs no call that asks the
+    oracle, so it may be copied or dropped; an application or a rec may, so
+    its redex is kept and it is still evaluated once.  System T is strongly
+    normalizing, so the walk ends."""
+    if isinstance(t, Var):
+        return t if var is None or t.index < depth else var(t.index - depth, depth)
+    kids = [_reduce(getattr(t, name), var, depth + bound) for name, bound in SUBTERMS[type(t)]]
+    if isinstance(t, App) and isinstance(kids[0], Lam):
+        v = kids[1]
+        if isinstance(v, Lam) or isinstance(successors(v)[1], (Zero, Var)):
+            def put(i, d):  # body[0 := v]: v shifted under the d binders it moves into, the rest down one
+                return _reduce(v, lambda j, e: Var(j + d + e)) if i == 0 else Var(i - 1 + d)
+
+            return _reduce(kids[0].body, put)
+    if isinstance(t, Rec):
+        return Rec(t.motive, *kids)
+    return Lam(t.domain, *kids) if isinstance(t, Lam) else type(t)(*kids)
 
 
 def _compile_iterate(term: Rec, model: Model):

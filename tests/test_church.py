@@ -202,19 +202,29 @@ def test_translate_takes_a_deep_numeral_at_the_default_recursion_limit():
     assert (n, body) == (1500, zero)
 
 
+def successors_around_a_query(n):
+    """fun (a : nat -> nat) -> succ^n (a 0), built directly: parse stops at 330 nested succ."""
+    body = App(Var(0), Zero())
+    for _ in range(n):
+        body = Succ(body)
+    return Lam(Arrow(NAT, NAT), body)
+
+
 @pytest.mark.parametrize(
-    "src, want",
+    "build, want",
     [
-        ("a (" * 160 + "0" + ")" * 160, 160),  # asks 0, 1, ..., 159 of a i = i + 1
-        ("succ (" * 320 + "a 0" + ")" * 320, 1),
+        # asks 0, 1, ..., 239 of a i = i + 1
+        (lambda: term("fun (a : nat -> nat) -> " + "a (" * 240 + "0" + ")" * 240), 240),
+        (lambda: successors_around_a_query(480), 1),
     ],
-    ids=["160 nested queries", "320 successors"],
+    ids=["240 nested queries", "480 successors"],
 )
-def test_internal_modulus_takes_deep_terms_at_the_default_recursion_limit(src, want):
+def test_internal_modulus_takes_deep_terms_at_the_default_recursion_limit(build, want):
     # the paper's route, through System T and the set model; the shared
-    # constants run as native lambdas, so a nested query costs few frames
+    # constants run as native lambdas with their value redexes reduced, so a
+    # nested query costs few frames
     def internal_modulus():
-        t = term(f"fun (a : nat -> nat) -> {src}")  # here, as pytest's own frames would tip a deep parse over
+        t = build()  # here, as pytest's own frames would tip a deep parse over
         return apply_set(apply_set(eval_set(modulus_int()), eval_set(dialogue_tree_int(t, NAT))), lambda i: i + 1)
 
     assert on_a_fresh_thread_at_the_default_limit(internal_modulus) == NatV(want)

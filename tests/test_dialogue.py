@@ -1,3 +1,4 @@
+import gc
 import inspect
 import sys
 
@@ -411,6 +412,18 @@ def test_tree_sexpr_shapes():
     assert tree_sexpr(d, answers=2, depth=0) == "(...)"
     deep = Branch(1, lambda y: Branch(2, lambda z: Leaf(z)))
     assert tree_sexpr(deep, answers=1, depth=1) == "(branch 1 (0 (...)))"
+
+
+def test_tree_sexpr_leaves_no_reference_cycle():
+    tree = Branch(4, lambda y: Branch(y, Leaf))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            tree_sexpr(tree, answers=2, depth=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tree_sexpr_refuses_a_print_past_its_node_budget(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 import sys
@@ -18,8 +19,8 @@ from systemt.church import (
     kleisli_int,
     leaf_int,
 )
-from systemt.dialogue import TREE_MODEL, Oracle, dialogue_tree, dieval, tree_sexpr
-from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term, gen_tree
+from systemt.dialogue import TREE_MODEL, Leaf, Oracle, dialogue_tree, dieval, generic, tree_sexpr
+from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term, gen_tree, recording
 from systemt.moduli import max_bool_question_int, max_question_int, max_term, modulus, modulus_int, modulus_uni_int
 from systemt.set_model import (
     SET_MODEL,
@@ -369,7 +370,7 @@ def test_internal_moduli_cost_a_bounded_number_of_calls():
     finally:
         sys.setprofile(None)
     assert out == [modulus(dialogue_tree(t), alpha) for t in terms for alpha in oracles]
-    assert calls <= 2700
+    assert calls <= 1600
 
 
 # -- closed constants, compiled once per model --------------------------------
@@ -476,3 +477,64 @@ def test_native_source_holds_only_generated_names_and_integers(monkeypatch):
         assert env.pop("__builtins__") == {}
         assert list(env) == [f"c{i}" for i in range(len(env))] and all(map(callable, env.values()))
         assert set(re.findall(r"c\d+", src)) == set(env)
+
+
+# -- value redexes, reduced before a constant is emitted ---------------------------
+
+
+def value_redexes(src):
+    """The calls in an emitted source of a lambda on a value: a name, a lambda,
+    an integer or a successor chain name + k."""
+    def is_value(arg):
+        return isinstance(arg, (ast.Name, ast.Lambda, ast.Constant)) or (
+            isinstance(arg, ast.BinOp) and isinstance(arg.left, ast.Name)
+        )
+
+    return [
+        ast.unparse(node) for node in ast.walk(ast.parse(src, mode="eval"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Lambda) and is_value(node.args[0])
+    ]
+
+
+@pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
+def test_native_constants_hold_no_value_redex(model, monkeypatch):
+    built = []
+    monkeypatch.setattr(set_model, "eval", lambda src, env: built.append(src) or eval(src, env), raising=False)
+    rows = shared_constants()
+    for _, constant in rows:  # fresh entries, so every constant builds here
+        monkeypatch.setitem(set_model._SHARED, id(constant), (constant, {}))
+    for _, constant in rows:
+        value_of(constant, model)
+    assert len(built) == len({id(t) for _, t in rows})
+    for src in built:
+        assert value_redexes(src) == [], src
+
+
+def test_reduce_substitutes_values_and_keeps_other_arguments():
+    # g is a lambda, so it is substituted under y, shifted past that binder;
+    # then g y reduces, and g (f y) stays a redex, as f y is an application
+    got = set_model._reduce(typecheck(parse(
+        "fun (f : nat -> nat) -> (fun (g : nat -> nat) -> fun (y : nat) -> g (g y)) (fun (z : nat) -> f z)"
+    )))
+    assert got == typecheck(parse("fun (f : nat -> nat) -> fun (y : nat) -> (fun (z : nat) -> f z) (f y)"))
+    # succ^k of a variable and of zero are values too; of an application not
+    assert set_model._reduce(typecheck(parse(
+        "fun (a : nat -> nat) -> fun (x : nat) -> (fun (p : nat) -> fun (q : nat) -> a p) (succ x) (succ (a 2))"
+    ))) == typecheck(parse("fun (a : nat -> nat) -> fun (x : nat) -> (fun (q : nat) -> a (succ x)) (succ (a 2))"))
+
+
+@pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
+def test_a_kept_redex_asks_its_argument_once(model):
+    # a would be called twice, for the base and for the count, were a 0
+    # substituted for x
+    t = typecheck(parse(
+        "fun (a : nat -> nat) -> (fun (x : nat) -> rec[nat] (fun (i : nat) -> fun (r : nat) -> succ r) x x) (a 0)"
+    ))
+    asked = []
+    value = set_model._native(t, model)
+    if model is SET_MODEL:
+        got = value(recording(lambda i: i + 7, asked))
+    else:  # the term asks through generic; the tree it builds runs on the oracle
+        out = value(recording(generic, asked))
+        got = dieval(Leaf(out) if type(out) is int else out.run(Leaf), lambda i: i + 7)
+    assert (got, asked) == (reference_eval(t)(lambda i: i + 7), [0])

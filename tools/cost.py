@@ -1,0 +1,135 @@
+"""Count the Python calls and opcodes that fixed probes of the program execute.
+
+    python3 tools/cost.py [--probes modulus_int,max_grid_x0,...] [--terms 50]
+
+Each probe runs in a fresh interpreter (this script with --one NAME), so what
+one probe builds or caches does not change another's counts.  Its set-up
+(parsing, translating, building the shared constants, a warm-up run) is done
+before counting starts.  The counts come from `sys.settrace` with opcode
+events on, so they repeat exactly on one CPython version; they compare two
+versions of the program, and say nothing of time.  The probes:
+
+  modulus_int    the compiled internal modulus on `dialogue_tree_int` of the
+                 corpus terms and --terms generated terms (seeds _mix(0, i)),
+                 at the 5 oracles gen_oracle(_mix(0, 7919 + j)); every answer
+                 is checked against the external modulus
+  max_grid_x<x>  max x y of the compiled `max_term` for y in 0..200, at
+                 x = 0, 100 and 200; every answer is checked
+  run_suites     all nine suites over 20 terms with at most 5 oracles each,
+                 seed 0, counted on the second of two runs
+
+Prints one JSON object: the Python version and, per probe, its calls and opcodes.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GRID_ROWS = (0, 100, 200)
+PROBES = ("modulus_int", *(f"max_grid_x{x}" for x in GRID_ROWS), "run_suites")
+
+
+def count(fn) -> "tuple[dict, object]":
+    """The Python calls and opcodes that running fn() executes, and its result."""
+    calls = opcodes = 0
+
+    def trace(frame, event, arg):
+        nonlocal calls, opcodes
+        if event == "opcode":
+            opcodes += 1
+        elif event == "call":
+            calls += 1
+            frame.f_trace_opcodes = True
+        return trace
+
+    sys.settrace(trace)
+    try:
+        out = fn()
+    finally:
+        sys.settrace(None)
+    return {"calls": calls, "opcodes": opcodes}, out
+
+
+def modulus_int_probe(n_terms: int) -> dict:
+    from systemt.church import dialogue_tree_int
+    from systemt.dialogue import dialogue_tree
+    from systemt.harness import GenConfig, _mix, corpus_terms, gen_oracle, gen_term
+    from systemt.moduli import modulus, modulus_int
+    from systemt.set_model import eval_set
+    from systemt.syntax import NAT, Arrow, arrow
+
+    terms = [*corpus_terms(), *(gen_term(GenConfig(_mix(0, i)), arrow(Arrow(NAT, NAT), NAT)) for i in range(n_terms))]
+    oracles = [gen_oracle(GenConfig(_mix(0, 7919 + j))) for j in range(5)]
+    m = eval_set(modulus_int())
+    applied = [m(eval_set(dialogue_tree_int(t, NAT))) for t in terms]
+    counts, out = count(lambda: [f(alpha) for f in applied for alpha in oracles])
+    if out != [modulus(dialogue_tree(t), alpha) for t in terms for alpha in oracles]:
+        raise AssertionError("the internal modulus disagrees with the external one")
+    return counts
+
+
+def max_grid_probe(x: int) -> dict:
+    from systemt.moduli import max_term
+    from systemt.set_model import apply_set, eval_set, natv
+
+    fx = apply_set(eval_set(max_term()), natv(x))
+    counts, out = count(lambda: [apply_set(fx, natv(y)).value for y in range(201)])
+    if out != [max(x, y) for y in range(201)]:
+        raise AssertionError(f"max {x} y is wrong")
+    return counts
+
+
+def run_suites_probe() -> dict:
+    from systemt.harness import SUITES, GenConfig, run_suites
+
+    scales = {which: (20, min(k, 5)) for which, (_, _, k) in SUITES.items()}
+    run_suites(scales, GenConfig(0))  # the warm-up builds every constant and cache
+    counts, reports = count(lambda: run_suites(scales, GenConfig(0)))
+    if not all(r.passed for r in reports):
+        raise AssertionError("a suite failed: " + "; ".join(map(str, reports)))
+    return counts
+
+
+def one(name: str, n_terms: int) -> dict:
+    """The counts of one probe, run in this process."""
+    sys.path.insert(0, str(ROOT / "src"))
+    if name == "modulus_int":
+        return modulus_int_probe(n_terms)
+    if name == "run_suites":
+        return run_suites_probe()
+    return max_grid_probe(int(name.removeprefix("max_grid_x")))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--probes", default=",".join(PROBES), help="comma-separated, of: " + ", ".join(PROBES))
+    ap.add_argument("--terms", type=int, default=50, help="generated terms of the modulus_int probe")
+    ap.add_argument("--one", choices=PROBES, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.one:
+        print(json.dumps(one(args.one, args.terms)))
+        return 0
+    probes = args.probes.split(",")
+    for name in probes:
+        if name not in PROBES:
+            ap.error(f"unknown probe {name!r}; pick from {', '.join(PROBES)}")
+    out = {"python": platform.python_version(), "terms": args.terms}
+    for name in probes:
+        done = subprocess.run(
+            [sys.executable, __file__, "--one", name, "--terms", str(args.terms)],
+            capture_output=True, text=True, check=True,
+        )
+        out[name] = json.loads(done.stdout)
+    print(json.dumps(out, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
