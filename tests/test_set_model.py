@@ -449,6 +449,20 @@ def agree_at_ground(ty, a, b, motive, rng, width=2):
     )
 
 
+def emitted_sources(monkeypatch, model):
+    """The source and globals `eval` gets for each shared constant, every one
+    built afresh at the model."""
+    built = []
+    monkeypatch.setattr(set_model, "eval", lambda src, env: built.append((src, env)) or eval(src, env), raising=False)
+    rows = shared_constants()
+    for _, constant in rows:  # fresh entries, so every constant builds here
+        monkeypatch.setitem(set_model._SHARED, id(constant), (constant, {}))
+    for _, constant in rows:
+        value_of(constant, model)
+    assert len(built) == len({id(t) for _, t in rows})
+    return built
+
+
 @pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
 def test_native_constants_agree_with_their_closures(model):
     rng = random.Random(23)
@@ -464,15 +478,7 @@ def test_native_source_holds_only_generated_names_and_integers(monkeypatch):
     library's own source texts, so no user text can reach `eval`; what does
     reach it is lambdas over generated names, integers, `+` and calls of the
     globals c<i>, with no builtins."""
-    built = []
-    monkeypatch.setattr(set_model, "eval", lambda src, env: built.append((src, env)) or eval(src, env), raising=False)
-    rows = shared_constants()
-    for _, constant in rows:  # fresh entries, so every constant builds here
-        monkeypatch.setitem(set_model._SHARED, id(constant), (constant, {}))
-    for _, constant in rows:
-        value_of(constant)
-    assert len(built) == len({id(t) for _, t in rows})
-    for src, env in built:
+    for src, env in emitted_sources(monkeypatch, SET_MODEL):
         assert re.fullmatch(r"(lambda|[vc]\d+|\d+|[ :+,()])*", src), src
         assert env.pop("__builtins__") == {}
         assert list(env) == [f"c{i}" for i in range(len(env))] and all(map(callable, env.values()))
@@ -498,15 +504,7 @@ def value_redexes(src):
 
 @pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
 def test_native_constants_hold_no_value_redex(model, monkeypatch):
-    built = []
-    monkeypatch.setattr(set_model, "eval", lambda src, env: built.append(src) or eval(src, env), raising=False)
-    rows = shared_constants()
-    for _, constant in rows:  # fresh entries, so every constant builds here
-        monkeypatch.setitem(set_model._SHARED, id(constant), (constant, {}))
-    for _, constant in rows:
-        value_of(constant, model)
-    assert len(built) == len({id(t) for _, t in rows})
-    for src in built:
+    for src, _ in emitted_sources(monkeypatch, model):
         assert value_redexes(src) == [], src
 
 
