@@ -124,39 +124,35 @@ def translate(term: Term, motive: Motive) -> Term:
 
     Variables keep their indices (the context is translated pointwise), and
     the saturated recursor is eta-expanded over its numeral argument before
-    being grafted through the translated scrutinee.  That puts the
-    recursor's translated step under two new binders and its base under one,
-    so their free indices move up by 2 and 1.  Rather than shift each
-    translated step and base afterwards, one pass carries an index renaming
-    (ren, k): free index i becomes ren[i], or i + k past the end of ren.
-    A binder extends ren with its own index 0, and the step and base are
-    translated with every target bumped by 2 and 1.
+    being grafted through the translated scrutinee, which puts its step
+    under two new binders and its base under one.  Nothing is shifted: one
+    pass names each binder by its output level.  `levels` holds those of the
+    input's binders, innermost first, so under `depth` output binders a
+    bound index i becomes depth - 1 - levels[i].
     """
     return _translate(term, motive, (), 0)
 
 
-def _translate(t: Term, motive: Motive, ren: tuple, k: int) -> Term:
+def _translate(t: Term, motive: Motive, levels: tuple, depth: int) -> Term:
     # not a closure over itself, which would leave a reference cycle per call
     if isinstance(t, Var):
         i = t.index
-        j = ren[i] if i < len(ren) else i + k
+        j = depth - 1 - levels[i] if i < len(levels) else i - len(levels) + depth
         return t if i == j else Var(j)
     if isinstance(t, App):
-        return App(_translate(t.fn, motive, ren, k), _translate(t.arg, motive, ren, k))
+        return App(_translate(t.fn, motive, levels, depth), _translate(t.arg, motive, levels, depth))
     if isinstance(t, Lam):
-        if ren or k:
-            ren = (0, *[r + 1 for r in ren])
-        return Lam(translate_type(t.domain, motive), _translate(t.body, motive, ren, k))
+        return Lam(translate_type(t.domain, motive), _translate(t.body, motive, (depth, *levels), depth + 1))
     if isinstance(t, (Zero, Succ)):  # the chain in a loop: no frame per succ
         n, core = successors(t)
         zero, succ = _numerals(motive)
-        out = zero if isinstance(core, Zero) else _translate(core, motive, ren, k)
+        out = zero if isinstance(core, Zero) else _translate(core, motive, levels, depth)
         for _ in range(n):
             out = App(succ, out)
         return out
-    if isinstance(t, Rec):
-        step = _translate(t.step, motive, tuple(r + 2 for r in ren), k + 2)
-        base = _translate(t.base, motive, tuple(r + 1 for r in ren), k + 1)
+    if isinstance(t, Rec):  # the step under two new binders, the base under one
+        step = _translate(t.step, motive, levels, depth + 2)
+        base = _translate(t.base, motive, levels, depth + 1)
         rec_fn = Lam(
             NAT,
             Rec(
@@ -166,7 +162,7 @@ def _translate(t: Term, motive: Motive, ren: tuple, k: int) -> Term:
                 Var(0),
             ),
         )
-        return App(App(gkleisli_int(t.motive, motive), rec_fn), _translate(t.arg, motive, ren, k))
+        return App(App(gkleisli_int(t.motive, motive), rec_fn), _translate(t.arg, motive, levels, depth))
     raise TypeError(f"not a term: {t!r}")
 
 

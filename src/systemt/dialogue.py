@@ -63,9 +63,10 @@ class Oracle:
         prefix = tuple(self.prefix)
         if min((self.default, *prefix)) < 0:
             raise ValueError(f"oracle values must be naturals: {prefix} with default {self.default}")
-        while prefix and prefix[-1] == self.default:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        end = len(prefix)
+        while end and prefix[end - 1] == self.default:  # one slice, not one copy per entry dropped
+            end -= 1
+        object.__setattr__(self, "prefix", prefix[:end])
 
     def __call__(self, i: int) -> int:
         return self.prefix[i] if i < len(self.prefix) else self.default

@@ -3,9 +3,10 @@
 `compile_term` compiles a term once into nested Python closures over
 environments; the result is applied any number of times without walking the
 term again.  A closed constant recorded with `share` is built once per model
-as native lambdas (`_native`).  The same compiler serves the set model here,
-where terms evaluate to numbers and host functions, and the tree model in
-`dialogue`, where a natural may ask the oracle.  Following effectful forcing,
+as native lambdas, written in one walk that evaluates its value redexes under
+an environment of values (`_native`).  The same compiler serves the set model
+here, where terms evaluate to numbers and host functions, and the tree model
+in `dialogue`, where a natural may ask the oracle.  Following effectful forcing,
 both models keep a natural that asks nothing as a plain `int` and add to a
 natural with Python's `+`, so a model is one function: how its recursor binds
 the natural it runs on.  A function value is a plain Python callable, and no
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Union
 
-from .syntax import SUBTERMS, App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
+from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
 
 
 @dataclass(frozen=True)
@@ -130,51 +131,49 @@ def compile_term(term: Term, model: Model) -> Compiled:
 
 def _native(term: Term, model: Model):
     """A shared constant's value: one Python expression of lambdas, evaluated
-    once.  Binder d is v<d>, and the closure `compile_term` builds for a `Rec`
-    is the global c<i>.  Only `church.closed` calls `share`, so `eval` sees
-    generated names and integers, never user text.  The parser writes each
-    nested constant out in full, so the term is first reduced (`_reduce`):
-    every use would otherwise pay a frame per curried argument of each copy."""
+    once.  Only `church.closed` calls `share`, so `eval` sees generated names
+    and integers, never user text.  The parser writes each nested constant
+    out in full, so one walk normalizes the constant as it writes it:
+    `walk(t, env, depth)` gives t's value if it has one (a lambda, or succ^k
+    of zero or of a binder), else its source.  A value asks the oracle
+    nothing, so a redex on one walks the lambda's body with the value bound,
+    and a redex on an application or a rec is kept, its argument run once.
+    Per free index, `env` holds (Lam, its env) or (name, k), meaning name + k
+    with None for zero.  Binder d is v<d>, and a `Rec` is the global c<i>,
+    the closure `compile_term` builds for it, applied to env's values.
+    System T is strongly normalizing, so the walk ends."""
     recs = []
 
-    def emit(t: Term, depth: int) -> str:
+    def source(v, depth: int) -> str:
+        if isinstance(v, str):
+            return v
+        head, k = v
+        if isinstance(head, Lam):
+            return f"(lambda v{depth}: {source(walk(head.body, ((f'v{depth}', 0), *k), depth + 1), depth + 1)})"
+        if head is None:
+            return str(k)
+        return f"({head} + {k})" if k else head
+
+    def walk(t: Term, env: tuple, depth: int):
         if isinstance(t, Var):
-            return f"v{depth - 1 - t.index}"
+            return env[t.index]
         if isinstance(t, (Zero, Succ)):
             k, core = successors(t)
-            return str(k) if isinstance(core, Zero) else f"({emit(core, depth)} + {k})"
+            v = (None, 0) if isinstance(core, Zero) else walk(core, env, depth)
+            return f"({v} + {k})" if isinstance(v, str) else (v[0], v[1] + k)
         if isinstance(t, Lam):
-            return f"(lambda v{depth}: {emit(t.body, depth + 1)})"
+            return t, env
         if isinstance(t, App):
-            return f"{emit(t.fn, depth)}({emit(t.arg, depth)})"
-        if isinstance(t, Rec):  # the recursor keeps its one compiler, run on the binders as its environment
+            fn, arg = walk(t.fn, env, depth), walk(t.arg, env, depth)
+            if isinstance(fn, tuple) and isinstance(fn[0], Lam) and not isinstance(arg, str):
+                return walk(fn[0].body, (arg, *fn[1]), depth)
+            return f"{source(fn, depth)}({source(arg, depth)})"
+        if isinstance(t, Rec):  # the rec's indices point into the tuple of env's values
             recs.append(compile_term(t, model))
-            return f"c{len(recs) - 1}(({''.join(f'v{d}, ' for d in reversed(range(depth)))}))"
+            return f"c{len(recs) - 1}(({''.join(f'{source(v, depth)}, ' for v in env)}))"
         raise TypeError(f"not a term: {t!r}")
 
-    return eval(emit(_reduce(term), 0), {"__builtins__": {}, **{f"c{i}": rec for i, rec in enumerate(recs)}})
-
-
-def _reduce(t: Term, var=None, depth: int = 0) -> Term:
-    """t with each free index i, under depth binders, replaced by var(i, depth),
-    and every redex reduced whose argument is a value: a lambda, or succ^k of
-    zero or of a variable.  Evaluating a value runs no call that asks the
-    oracle, so it may be copied or dropped; an application or a rec may, so
-    its redex is kept and it is still evaluated once.  System T is strongly
-    normalizing, so the walk ends."""
-    if isinstance(t, Var):
-        return t if var is None or t.index < depth else var(t.index - depth, depth)
-    kids = [_reduce(getattr(t, name), var, depth + bound) for name, bound in SUBTERMS[type(t)]]
-    if isinstance(t, App) and isinstance(kids[0], Lam):
-        v = kids[1]
-        if isinstance(v, Lam) or isinstance(successors(v)[1], (Zero, Var)):
-            def put(i, d):  # body[0 := v]: v shifted under the d binders it moves into, the rest down one
-                return _reduce(v, lambda j, e: Var(j + d + e)) if i == 0 else Var(i - 1 + d)
-
-            return _reduce(kids[0].body, put)
-    if isinstance(t, Rec):
-        return Rec(t.motive, *kids)
-    return Lam(t.domain, *kids) if isinstance(t, Lam) else type(t)(*kids)
+    return eval(source(walk(term, (), 0), 0), {"__builtins__": {}, **{f"c{i}": rec for i, rec in enumerate(recs)}})
 
 
 def _compile_iterate(term: Rec, model: Model):

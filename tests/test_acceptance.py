@@ -5,12 +5,12 @@ differential criteria are exact natural-number equalities over the fixed
 ten-term corpus plus terms generated at budget 25.
 """
 
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from cost import count
 from systemt import cli
 from systemt.church import dialogue_tree_int
 from systemt.dialogue import Leaf, dialogue_tree, dieval
@@ -142,24 +142,15 @@ def test_criterion_8_max_term_exhaustive_grid():
 def test_criterion_8_max_term_grid_costs_a_bounded_number_of_calls():
     # A deterministic companion of the wall-clock gate above, which a CPU
     # shared with another process can fail.  max x y runs one loop of y
-    # predecessor steps, at most 3 Python calls each.  A profile sees Python
+    # predecessor steps, at most 3 Python calls each.  The count sees Python
     # frames only, so a call into C added to each step (such as one converting
     # each index of the loop over range(n)) passes here and shows only in the
     # time above.
     grid = range(0, 201, 20)
     mv = eval_set(max_term())
     fxs = [(x, apply_set(mv, natv(x))) for x in grid]
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        got = [(apply_set(fx, natv(y)).value, max(x, y)) for x, fx in fxs for y in grid]
-    finally:
-        sys.setprofile(None)
+    counts, got = count(lambda: [(apply_set(fx, natv(y)).value, max(x, y)) for x, fx in fxs for y in grid])
+    calls = counts["calls"]
     mismatches = sum(lhs != rhs for lhs, rhs in got)
     bound = sum(3 * y + 9 for _ in grid for y in grid)
     ok = mismatches == 0 and calls <= bound

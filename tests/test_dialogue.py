@@ -1,8 +1,12 @@
 import gc
 import inspect
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from cost import count
 from hypothesis import given, settings, strategies as st
 
 from extensional import as_tree, functor_map, generic as reference_generic, graft_of, kleisli
@@ -87,6 +91,22 @@ def test_oracle_rejects_negative_values():
         Oracle((), -1)
     with pytest.raises(ValueError):
         Oracle.from_spec("default=-1")
+
+
+def test_oracle_strips_a_long_run_of_defaults_in_linear_time():
+    # one copy per entry dropped would take about 20 minutes here; an --oracle
+    # spec of 100,000 entries fits one command-line argument
+    code = (
+        "from systemt.dialogue import Oracle\n"
+        "assert Oracle((5,) * 10**6, 5).prefix == ()\n"
+        "assert Oracle.from_spec(','.join(['5'] * 100_000) + ';default=5').prefix == ()\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # -- dieval ---------------------------------------------------------------
@@ -371,18 +391,7 @@ def _query_chain(depth):
 
 def _calls_to_run(term):
     """Python calls made by dialogue_tree and dieval on term: deterministic, unlike a clock."""
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        dieval(dialogue_tree(term), Oracle((), 0))
-    finally:
-        sys.setprofile(None)
-    return calls
+    return count(lambda: dieval(dialogue_tree(term), Oracle((), 0)))[0]["calls"]
 
 
 def test_nested_queries_cost_linear_calls():

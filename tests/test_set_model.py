@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from cost import count
 from systemt import church, set_model
 from systemt.church import (
     branch_int,
@@ -283,19 +284,9 @@ def test_a_step_that_only_adds_costs_the_same_calls_at_any_count():
     v = compile_term(typecheck(parse(adder(1))), SET_MODEL)(())
 
     def calls_at(n):
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(count)
-        try:
-            out = v(n)
-        finally:
-            sys.setprofile(None)
+        counts, out = count(lambda: v(n))
         assert out == n
-        return calls
+        return counts["calls"]
 
     assert calls_at(10) == calls_at(100000)
 
@@ -306,19 +297,9 @@ def test_max_term_costs_a_bounded_number_of_calls_per_step():
     # (a box, an unbox, an index conversion) breaks the bound
     fx = apply_set(eval_set(max_term()), natv(0))
     y = 200
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        out = apply_set(fx, natv(y))
-    finally:
-        sys.setprofile(None)
+    counts, out = count(lambda: apply_set(fx, natv(y)))
     assert out == NatV(y)
-    assert calls <= 3 * y + 9
+    assert counts["calls"] <= 3 * y + 9
 
 
 @pytest.mark.skipif(
@@ -331,21 +312,9 @@ def test_max_term_executes_a_bounded_number_of_opcodes_per_step():
     fx = apply_set(eval_set(max_term()), natv(200))
 
     def opcodes_at(y):
-        ops = 0
-
-        def trace(frame, event, arg):
-            nonlocal ops
-            frame.f_trace_opcodes = True
-            ops += event == "opcode"
-            return trace
-
-        sys.settrace(trace)
-        try:
-            out = apply_set(fx, natv(y))
-        finally:
-            sys.settrace(None)
+        counts, out = count(lambda: apply_set(fx, natv(y)))
         assert out == NatV(200)
-        return ops
+        return counts["opcodes"]
 
     assert (opcodes_at(200) - opcodes_at(100)) / 100 <= 40
     assert opcodes_at(0) <= 125
@@ -358,19 +327,9 @@ def test_internal_moduli_cost_a_bounded_number_of_calls():
     terms = corpus_terms()
     applied = [m(eval_set(dialogue_tree_int(t, NAT))) for t in terms]
     oracles = (Oracle((), 0), Oracle((), 1), Oracle((3, 1, 4, 1, 5), 2))
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        out = [f(alpha) for f in applied for alpha in oracles]
-    finally:
-        sys.setprofile(None)
+    counts, out = count(lambda: [f(alpha) for f in applied for alpha in oracles])
     assert out == [modulus(dialogue_tree(t), alpha) for t in terms for alpha in oracles]
-    assert calls <= 1600
+    assert counts["calls"] <= 1600
 
 
 # -- closed constants, compiled once per model --------------------------------
@@ -485,7 +444,7 @@ def test_native_source_holds_only_generated_names_and_integers(monkeypatch):
         assert set(re.findall(r"c\d+", src)) == set(env)
 
 
-# -- value redexes, reduced before a constant is emitted ---------------------------
+# -- value redexes, reduced as a constant is emitted -------------------------------
 
 
 def value_redexes(src):
@@ -508,17 +467,35 @@ def test_native_constants_hold_no_value_redex(model, monkeypatch):
         assert value_redexes(src) == [], src
 
 
-def test_reduce_substitutes_values_and_keeps_other_arguments():
-    # g is a lambda, so it is substituted under y, shifted past that binder;
-    # then g y reduces, and g (f y) stays a redex, as f y is an application
-    got = set_model._reduce(typecheck(parse(
+def emitted_source(monkeypatch, term, model=SET_MODEL):
+    """The source `_native` builds for term at the model."""
+    built = []
+    monkeypatch.setattr(set_model, "eval", lambda src, env: built.append(src) or eval(src, env), raising=False)
+    set_model._native(term, model)
+    return built[0]
+
+
+def test_native_substitutes_values_and_keeps_other_arguments(monkeypatch):
+    # g is a lambda, so it is bound as a value under y; then g y reduces, and
+    # g (f y) stays a redex, as f y is an application
+    got = emitted_source(monkeypatch, typecheck(parse(
         "fun (f : nat -> nat) -> (fun (g : nat -> nat) -> fun (y : nat) -> g (g y)) (fun (z : nat) -> f z)"
     )))
-    assert got == typecheck(parse("fun (f : nat -> nat) -> fun (y : nat) -> (fun (z : nat) -> f z) (f y)"))
+    assert got == "(lambda v0: (lambda v1: (lambda v2: v0(v2))(v0(v1))))"
     # succ^k of a variable and of zero are values too; of an application not
-    assert set_model._reduce(typecheck(parse(
+    got = emitted_source(monkeypatch, typecheck(parse(
         "fun (a : nat -> nat) -> fun (x : nat) -> (fun (p : nat) -> fun (q : nat) -> a p) (succ x) (succ (a 2))"
-    ))) == typecheck(parse("fun (a : nat -> nat) -> fun (x : nat) -> (fun (q : nat) -> a (succ x)) (succ (a 2))"))
+    )))
+    assert got == "(lambda v0: (lambda v1: (lambda v2: v0((v1 + 1)))((v0(2) + 1))))"
+
+
+@pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
+@pytest.mark.parametrize("motive", [NAT, BAIRE_FN])
+def test_generic_is_emitted_as_one_lambda_of_three_binders(monkeypatch, model, motive):
+    # the source README quotes for `kleisli (branch leaf)`
+    assert emitted_source(monkeypatch, generic_int(motive), model) == (
+        "(lambda v0: (lambda v1: (lambda v2: v0((lambda v3: v2((lambda v4: v1(v4)))(v3)))(v2))))"
+    )
 
 
 @pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])

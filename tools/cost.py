@@ -1,6 +1,6 @@
 """Count the Python calls and opcodes that fixed probes of the program execute.
 
-    python3 tools/cost.py [--probes modulus_int,max_grid_x0,...] [--terms 50]
+    python3 tools/cost.py [--probes modulus_int,translate,max_grid_x0,...] [--terms 50]
 
 Each probe runs in a fresh interpreter (this script with --one NAME), so what
 one probe builds or caches does not change another's counts.  Its set-up
@@ -13,6 +13,8 @@ versions of the program, and say nothing of time.  The probes:
                  corpus terms and --terms generated terms (seeds _mix(0, i)),
                  at the 5 oracles gen_oracle(_mix(0, 7919 + j)); every answer
                  is checked against the external modulus
+  translate      `church.translate` of the same terms at the motives nat and
+                 (nat -> nat) -> nat; every result's type is checked
   max_grid_x<x>  max x y of the compiled `max_term` for y in 0..200, at
                  x = 0, 100 and 200; every answer is checked
   run_suites     all nine suites over 20 terms with at most 5 oracles each,
@@ -33,18 +35,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_ROWS = (0, 100, 200)
-PROBES = ("modulus_int", *(f"max_grid_x{x}" for x in GRID_ROWS), "run_suites")
+PROBES = ("modulus_int", "translate", *(f"max_grid_x{x}" for x in GRID_ROWS), "run_suites")
 
 
 def count(fn) -> "tuple[dict, object]":
-    """The Python calls and opcodes that running fn() executes, and its result."""
+    """The Python calls and opcodes that running fn() executes, and its result.
+    fn's own frame is not counted, so count(lambda: expr) counts what
+    evaluating expr runs."""
     calls = opcodes = 0
+    here = sys._getframe()
 
     def trace(frame, event, arg):
         nonlocal calls, opcodes
         if event == "opcode":
             opcodes += 1
         elif event == "call":
+            if frame.f_back is here:
+                return None  # fn's own frame: no events of its own
             calls += 1
             frame.f_trace_opcodes = True
         return trace
@@ -57,21 +64,42 @@ def count(fn) -> "tuple[dict, object]":
     return {"calls": calls, "opcodes": opcodes}, out
 
 
+def probe_terms(n_terms: int) -> list:
+    """The corpus terms and n_terms generated terms, at seeds _mix(0, i)."""
+    from systemt.harness import GenConfig, _mix, corpus_terms, gen_term
+    from systemt.syntax import NAT, Arrow, arrow
+
+    return [*corpus_terms(), *(gen_term(GenConfig(_mix(0, i)), arrow(Arrow(NAT, NAT), NAT)) for i in range(n_terms))]
+
+
 def modulus_int_probe(n_terms: int) -> dict:
     from systemt.church import dialogue_tree_int
     from systemt.dialogue import dialogue_tree
-    from systemt.harness import GenConfig, _mix, corpus_terms, gen_oracle, gen_term
+    from systemt.harness import GenConfig, _mix, gen_oracle
     from systemt.moduli import modulus, modulus_int
     from systemt.set_model import eval_set
-    from systemt.syntax import NAT, Arrow, arrow
+    from systemt.syntax import NAT
 
-    terms = [*corpus_terms(), *(gen_term(GenConfig(_mix(0, i)), arrow(Arrow(NAT, NAT), NAT)) for i in range(n_terms))]
+    terms = probe_terms(n_terms)
     oracles = [gen_oracle(GenConfig(_mix(0, 7919 + j))) for j in range(5)]
     m = eval_set(modulus_int())
     applied = [m(eval_set(dialogue_tree_int(t, NAT))) for t in terms]
     counts, out = count(lambda: [f(alpha) for f in applied for alpha in oracles])
     if out != [modulus(dialogue_tree(t), alpha) for t in terms for alpha in oracles]:
         raise AssertionError("the internal modulus disagrees with the external one")
+    return counts
+
+
+def translate_probe(n_terms: int) -> dict:
+    from systemt.church import translate, translate_type
+    from systemt.dialogue import BAIRE_FN
+    from systemt.syntax import NAT, infer
+
+    jobs = [(t, motive) for motive in (NAT, BAIRE_FN) for t in probe_terms(n_terms)]
+    [translate(t, motive) for t, motive in jobs]  # the warm-up builds the constants and the type caches
+    counts, out = count(lambda: [translate(t, motive) for t, motive in jobs])
+    if any(infer(u) != translate_type(infer(t), motive) for u, (t, motive) in zip(out, jobs)):
+        raise AssertionError("a translated term has the wrong type")
     return counts
 
 
@@ -102,6 +130,8 @@ def one(name: str, n_terms: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     if name == "modulus_int":
         return modulus_int_probe(n_terms)
+    if name == "translate":
+        return translate_probe(n_terms)
     if name == "run_suites":
         return run_suites_probe()
     return max_grid_probe(int(name.removeprefix("max_grid_x")))
@@ -110,7 +140,7 @@ def one(name: str, n_terms: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--probes", default=",".join(PROBES), help="comma-separated, of: " + ", ".join(PROBES))
-    ap.add_argument("--terms", type=int, default=50, help="generated terms of the modulus_int probe")
+    ap.add_argument("--terms", type=int, default=50, help="generated terms of the modulus_int and translate probes")
     ap.add_argument("--one", choices=PROBES, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
