@@ -147,12 +147,13 @@ def _native(term: Term, model: Model):
     def source(v, depth: int) -> str:
         if isinstance(v, str):
             return v
-        head, k = v
-        if isinstance(head, Lam):
-            return f"(lambda v{depth}: {source(walk(head.body, ((f'v{depth}', 0), *k), depth + 1), depth + 1)})"
-        if head is None:
+        if isinstance(v[0], Lam):
+            lam, lam_env = v
+            return f"(lambda v{depth}: {source(walk(lam.body, ((f'v{depth}', 0), *lam_env), depth + 1), depth + 1)})"
+        name, k = v
+        if name is None:
             return str(k)
-        return f"({head} + {k})" if k else head
+        return f"({name} + {k})" if k else name
 
     def walk(t: Term, env: tuple, depth: int):
         if isinstance(t, Var):

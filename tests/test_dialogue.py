@@ -6,9 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from cost import count
 from hypothesis import given, settings, strategies as st
 
+from cost import count
 from extensional import as_tree, functor_map, generic as reference_generic, graft_of, kleisli
 from systemt.dialogue import (
     BAIRE_FN,

@@ -482,11 +482,12 @@ def test_native_substitutes_values_and_keeps_other_arguments(monkeypatch):
         "fun (f : nat -> nat) -> (fun (g : nat -> nat) -> fun (y : nat) -> g (g y)) (fun (z : nat) -> f z)"
     )))
     assert got == "(lambda v0: (lambda v1: (lambda v2: v0(v2))(v0(v1))))"
-    # succ^k of a variable and of zero are values too; of an application not
+    # succ^k of a variable and of zero are values too, and a successor of one
+    # adds to its k; succ^k of an application is not a value
     got = emitted_source(monkeypatch, typecheck(parse(
-        "fun (a : nat -> nat) -> fun (x : nat) -> (fun (p : nat) -> fun (q : nat) -> a p) (succ x) (succ (a 2))"
+        "fun (a : nat -> nat) -> fun (x : nat) -> (fun (p : nat) -> fun (q : nat) -> a (succ p)) (succ x) (succ (a 2))"
     )))
-    assert got == "(lambda v0: (lambda v1: (lambda v2: v0((v1 + 1)))((v0(2) + 1))))"
+    assert got == "(lambda v0: (lambda v1: (lambda v2: v0((v1 + 2)))((v0(2) + 1))))"
 
 
 @pytest.mark.parametrize("model", [SET_MODEL, TREE_MODEL])
