@@ -48,7 +48,7 @@ class Branch:
 DTree = Union[Leaf, Branch]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Oracle:
     """A point of the Baire space: explicit finite prefix, constant tail.
 

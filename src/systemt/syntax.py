@@ -6,9 +6,10 @@ from.  Named variables exist only in the surface syntax: the parser resolves
 each name to its index against the binders around it, and `infer` is the one
 typechecker, reporting a type error at the position of the subterm at fault.
 
-Types are hash-consed, so == and hash on them are identity checks.  Term
-nodes are slotted and compare structurally, ignoring positions; they are never
-mutated after construction, as `set_model.share` keys on identity.
+Types are hash-consed, so == and hash on them are identity checks.  Term nodes are slotted and
+compare structurally, ignoring positions.  As `set_model.share` keys on identity, only `infer`
+mutates a node, writing once into its slot ty the node's type as a closed term; `replace` never
+copies ty, and `==`, `hash` and `repr` ignore it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
@@ -94,25 +96,30 @@ def format_ty(ty: Ty) -> str:
 Pos = Optional[tuple]
 
 
+@dataclass(slots=True, eq=False, repr=False)
+class _Typed:
+    ty: Optional[Ty] = field(default=None, init=False, compare=False, repr=False)
+
+
 @dataclass(slots=True, unsafe_hash=True)
-class Var:
+class Var(_Typed):
     index: int
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Zero:
+class Zero(_Typed):
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Succ:
+class Succ(_Typed):
     arg: "Term"
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Rec:
+class Rec(_Typed):
     """Primitive recursion at the annotated motive type.
 
     step : nat -> motive -> motive, base : motive, arg : nat.
@@ -126,14 +133,14 @@ class Rec:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class Lam:
+class Lam(_Typed):
     domain: Ty
     body: "Term"
     pos: Pos = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class App:
+class App(_Typed):
     fn: "Term"
     arg: "Term"
     pos: Pos = field(default=None, compare=False, repr=False)
@@ -214,9 +221,10 @@ _APP_ENDS = frozenset({"->", ")", "[", "]", ":", "fun", "nat", ""})
 
 #: The largest numeral literal; literal n is a chain of n successors.
 _LITERAL_CAP = 10**5
-# one token with the blanks before it; names may hold any letters.  The empty
-# match at the end keeps trailing blanks from being retried at every offset.
-_TOKEN_RE = re.compile(r"\s*(?:->|[()\[\]:]|\d+|[^\W\d]\w*|\S|\Z)")
+# one token with the blanks before it, the likeliest alternative first.  Names may hold any
+# letters; an ASCII first letter is tested as a range, cheaper than [^\W\d].  The quantifiers
+# are possessive, and the empty match at the end keeps trailing blanks from being retried.
+_TOKEN_RE = re.compile(r"\s*+(?:[a-zA-Z_]\w*+|[()]|->|[^\W\d]\w*+|\d++|[\[\]:]|\S|\Z)")
 
 
 def _tokenize(text: str) -> "tuple[list[str], list[int]]":
@@ -243,7 +251,7 @@ class _Parser:
 
     def __init__(self, text: str, defs):
         self.toks, self.ends = _tokenize(text)
-        self.line_starts = [0, *accumulate(len(line) + 1 for line in text.split("\n")[:-1])]
+        self.line_starts = "\n" in text and [0, *accumulate(len(line) + 1 for line in text.split("\n")[:-1])]
         self.defs = defs
         self.i = 0
         self.scope: "tuple[str, ...]" = ()
@@ -252,6 +260,8 @@ class _Parser:
     def pos(self, i: int) -> tuple:
         """The 1-based (line, col) where token i starts."""
         start = self.ends[i] - len(self.toks[i])
+        if not self.line_starts:  # one line: a token's column is its offset + 1
+            return 1, start + 1
         line = bisect_right(self.line_starts, start)
         return line, start - self.line_starts[line - 1] + 1
 
@@ -294,16 +304,22 @@ class _Parser:
             while toks[self.i] not in _APP_ENDS:
                 head = App(head, self.atom(), head.pos)
             return head
-        self.i += 1
-        self.expect("(")
-        name = self.toks[self.i]
+        i = start + 1  # each token tested is followed by one more, if only ""
+        if toks[i] != "(":
+            raise ParseError(*self.pos(i), "'('")
+        name = toks[i + 1]
         if name in _KEYWORDS or not _is_word(name):
-            raise ParseError(*self.pos(self.i), "a variable name")
-        self.i += 1
-        self.expect(":")
+            raise ParseError(*self.pos(i + 1), "a variable name")
+        if toks[i + 2] != ":":
+            raise ParseError(*self.pos(i + 2), "':'")
+        self.i = i + 3
         dom = self.ty()
-        self.expect(")")
-        self.expect("->")
+        i = self.i
+        if toks[i] != ")":
+            raise ParseError(*self.pos(i), "')'")
+        if toks[i + 1] != "->":
+            raise ParseError(*self.pos(i + 1), "'->'")
+        self.i = i + 2
         outer = self.scope
         self.scope = (name,) + outer
         body = self.term()
@@ -314,12 +330,12 @@ class _Parser:
         i = self.i
         tok = self.toks[i]
         self.i = i + 1
-        if tok in self.scope:  # only names are bound
-            return Var(self.scope.index(tok), self.pos(i))
         if tok == "(":
             inner = self.term()
             self.expect(")")
             return inner
+        if tok in self.scope:  # only names are bound
+            return Var(self.scope.index(tok), self.pos(i))
         if tok == "succ":
             return Succ(self.atom(), self.pos(i))
         if tok == "zero":
@@ -379,10 +395,13 @@ def typecheck(term: Term) -> Term:
 
 
 def infer(term: Term, ctx=()) -> Ty:
-    """Synthesize the type of a well-scoped de Bruijn term in ctx, a sequence
-    of types, innermost binding first.  A TypeCheckError carries the
-    position of the subterm at fault (None if it was not parsed)."""
-    return _infer(term, tuple(ctx))
+    """Synthesize the type of a well-scoped de Bruijn term in ctx, a sequence of types, innermost
+    binding first.  A TypeCheckError carries the position of the subterm at fault (None if it was
+    not parsed).  A type found in the empty context is recorded in the term's slot ty: a closed
+    term has it in every context, so no node holding one is walked again."""
+    if term.ty is None and not ctx:
+        term.ty = _infer(term, ())
+    return term.ty or _infer(term, tuple(ctx))
 
 
 def _infer(term: Term, ctx: tuple) -> Ty:
@@ -390,6 +409,18 @@ def _infer(term: Term, ctx: tuple) -> Ty:
         if term.index >= len(ctx):
             raise TypeCheckError(term.pos, "a bound variable", f"index {term.index} in context of length {len(ctx)}")
         return ctx[term.index]
+    if term.ty is not None:
+        return term.ty
+    if isinstance(term, App):
+        fty = _infer(term.fn, ctx)
+        if not isinstance(fty, Arrow):
+            raise TypeCheckError(term.fn.pos, "a function type", fty)
+        aty = _infer(term.arg, ctx)
+        if aty != fty.domain:
+            raise TypeCheckError(term.arg.pos, fty.domain, aty)
+        return fty.codomain
+    if isinstance(term, Lam):
+        return Arrow(term.domain, _infer(term.body, (term.domain,) + ctx))
     if isinstance(term, Zero):
         return NAT
     if isinstance(term, Succ):
@@ -410,16 +441,6 @@ def _infer(term: Term, ctx: tuple) -> Ty:
         if aty != NAT:
             raise TypeCheckError(term.arg.pos, NAT, aty)
         return term.motive
-    if isinstance(term, Lam):
-        return Arrow(term.domain, _infer(term.body, (term.domain,) + ctx))
-    if isinstance(term, App):
-        fty = _infer(term.fn, ctx)
-        if not isinstance(fty, Arrow):
-            raise TypeCheckError(term.fn.pos, "a function type", fty)
-        aty = _infer(term.arg, ctx)
-        if aty != fty.domain:
-            raise TypeCheckError(term.arg.pos, fty.domain, aty)
-        return fty.codomain
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -449,9 +470,11 @@ def occurs_free(term: Term, index: int) -> bool:
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _binder_name(depth: int) -> str:
-    q, r = divmod(depth, 26)
-    return _LETTERS[r] + (str(q) if q else "")
+@lru_cache(maxsize=1 << 12)
+def _binder(depth: int, domain: Ty) -> "tuple[str, str]":
+    """The name of the binder at depth, and the text of its fun header."""
+    name = _LETTERS[depth % 26] + (str(depth // 26) if depth >= 26 else "")
+    return name, f"fun ({name} : {format_ty(domain)}) -> "
 
 
 def pretty(term: Term) -> str:
@@ -461,15 +484,14 @@ def pretty(term: Term) -> str:
     argument position.
     """
     out: "list[str]" = []
-    _pp(term, [], False, out, {})
+    _pp(term, [], False, out)
     return "".join(out)
 
 
-def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) -> None:
+def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
     """Append t's text to out, parenthesized if atom is set and t is no atom.
     names holds the binders around t, innermost last; each piece is written
-    once, so printing takes time linear in the text.  tys maps each type
-    printed so far to its text."""
+    once, so printing takes time linear in the text."""
     if isinstance(t, Var):
         if t.index >= len(names):
             raise ValueError(f"free index {t.index} has no name")
@@ -483,29 +505,27 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]", tys: dict) ->
         out.append("(")
     if k:
         out.append("succ " + "(succ " * (k - 1))
-        _pp(core, names, True, out, tys)
+        _pp(core, names, True, out)
         out.append(")" * (k - 1))
     elif isinstance(t, Lam):
-        name = _binder_name(len(names))
-        dom = tys.get(t.domain) or tys.setdefault(t.domain, format_ty(t.domain))
-        out.append(f"fun ({name} : {dom}) -> ")
+        name, header = _binder(len(names), t.domain)
+        out.append(header)
         names.append(name)
-        _pp(t.body, names, False, out, tys)
+        _pp(t.body, names, False, out)
         names.pop()
     elif isinstance(t, App):
         args = []
         while isinstance(t, App):  # the spine f a b ... in a loop
             args.append(t.arg)
             t = t.fn
-        _pp(t, names, True, out, tys)
+        _pp(t, names, True, out)
         for arg in reversed(args):
             out.append(" ")
-            _pp(arg, names, True, out, tys)
+            _pp(arg, names, True, out)
     else:
-        motive = tys.get(t.motive) or tys.setdefault(t.motive, format_ty(t.motive))
-        out.append(f"rec[{motive}]")
+        out.append(f"rec[{format_ty(t.motive)}]")
         for sub in (t.step, t.base, t.arg):
             out.append(" ")
-            _pp(sub, names, True, out, tys)
+            _pp(sub, names, True, out)
     if atom:
         out.append(")")

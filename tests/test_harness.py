@@ -431,6 +431,19 @@ def test_one_pass_builds_each_view_once_per_term(monkeypatch):
     assert Counter(kind for kind, _ in calls) == {"tree": n, NAT: n, BAIRE_FN: n}
 
 
+def test_one_terms_three_tree_views_walk_its_types_once(monkeypatch):
+    # the tree, internal and internal_dialogue views each check the term's type;
+    # the first records it on the term, and the other two find it there
+    from systemt import syntax
+
+    term, roots = parse(CORPUS[-1][1]), []
+    infer = syntax._infer
+    monkeypatch.setattr(syntax, "_infer", lambda t, ctx: roots.append(t is term) or infer(t, ctx))
+    reports = run_suites({"thm16": (0, 1), "thm37": (0, 1), "lem44": (0, 1)}, GenConfig(seed=3), [term])
+    assert all(r.passed and r.cases == 1 for r in reports)
+    assert roots.count(True) == 1
+
+
 def test_one_pass_gives_each_suite_its_own_scale(monkeypatch):
     encoded = []  # lem36 encodes each of its trees once, at motive BAIRE_FN
     monkeypatch.setattr(

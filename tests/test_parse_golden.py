@@ -12,11 +12,13 @@ Regenerate the golden, only on purpose, with
 """
 
 import random
+import re
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from systemt.harness import GenConfig, gen_term
-from systemt.syntax import NAT, SUBTERMS, arrow, parse, pretty
+from systemt.syntax import NAT, SUBTERMS, _tokenize, arrow, parse, pretty
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "parse.golden"
 
@@ -66,6 +68,27 @@ def test_parse_outcomes_match_golden():
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"text {i}: {golden_texts()[i]!r}"
+
+
+#: The token pattern before its alternatives were ordered by frequency and its
+#: quantifiers made possessive, kept as the reference the tokenizer must match.
+REFERENCE_TOKEN_RE = re.compile(r"\s*(?:->|[()\[\]:]|\d+|[^\W\d]\w*|\S|\Z)")
+#: Characters to place or refuse, and blanks of every kind, trailing blanks
+#: and the empty text.
+EDGE_TEXTS = (
+    "éa", "²", "a²", "12ab", "a->b", "-", "fun\t(a\t:\tnat)\t->\ta", "a\r\nb", "a\r\n", "a  ", "a \t\n", "\t",
+    " ", "",
+)
+
+
+def reference_tokenize(text: str) -> "tuple[list[str], list[int]]":
+    chunks = REFERENCE_TOKEN_RE.findall(text)
+    return [chunk.lstrip() for chunk in chunks], list(accumulate(map(len, chunks)))
+
+
+def test_tokenizer_matches_the_reference_pattern():
+    for text in [*golden_texts(), *EDGE_TEXTS]:
+        assert _tokenize(text) == reference_tokenize(text), repr(text)
 
 
 if __name__ == "__main__":

@@ -4,15 +4,17 @@ import re
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from systemt.dialogue import Branch, Leaf
-from systemt.harness import GenConfig, gen_term
+from systemt.dialogue import Branch, Leaf, Oracle
+from systemt.church import dialogue_tree_int
+from systemt.harness import GenConfig, _mix, _shrink_candidates, gen_term
 from systemt.syntax import (
     NAT,
+    SUBTERMS,
     App,
     Arrow,
     Lam,
@@ -296,6 +298,74 @@ def test_typecheck_deterministic():
     assert typecheck(parse(src)) == typecheck(parse(src))
 
 
+# -- recorded types ---------------------------------------------------------
+
+TYPE_SLOT_SEEDS = (0, 1, 2, 3, 101)
+
+
+def fresh(t):
+    """A structurally equal copy of t, node for node, with no type recorded."""
+    kwargs = {f.name: getattr(t, f.name) for f in fields(t) if f.init}
+    kwargs.update((name, fresh(getattr(t, name))) for name, _ in SUBTERMS[type(t)])
+    return type(t)(**kwargs)
+
+
+def nodes(t) -> list:
+    out, stack = [], [t]
+    while stack:
+        out.append(node := stack.pop())
+        stack.extend(getattr(node, name) for name, _ in SUBTERMS[type(node)])
+    return out
+
+
+def generated(seed: int, n: int = 25) -> list:
+    return [gen_term(GenConfig(seed=_mix(seed, i)), BAIRE_FN) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", TYPE_SLOT_SEEDS)
+def test_a_recorded_type_is_the_type_of_a_fresh_copy(seed):
+    for t in generated(seed):
+        assert all(node.ty is None for node in nodes(t))
+        assert typecheck(t).ty is BAIRE_FN
+        # a translation holds the shared constants, each typed once when it was built
+        for u in (t, typecheck(dialogue_tree_int(t, NAT)), typecheck(dialogue_tree_int(t, BAIRE_FN))):
+            recorded = {id(node): node for node in nodes(u) if node.ty is not None}
+            assert id(u) in recorded and (u is t or len(recorded) > 1)
+            for node in recorded.values():
+                copy = fresh(node)
+                assert copy.ty is None and infer(copy) is node.ty
+
+
+@pytest.mark.parametrize("seed", TYPE_SLOT_SEEDS)
+def test_replace_and_the_shrinker_copy_no_recorded_type(seed):
+    for t in map(typecheck, generated(seed)):
+        assert replace(t).ty is None and replace(t, pos=(1, 1)).ty is None
+        candidates = list(_shrink_candidates(t))
+        assert candidates and all(c.ty is None for c in candidates)
+
+
+@pytest.mark.parametrize("seed", TYPE_SLOT_SEEDS)
+def test_a_failed_or_open_typecheck_records_nothing(seed):
+    for i, t in enumerate(generated(seed)):
+        for bad in (App(t, t), Lam(NAT, App(Var(0), t))):
+            with pytest.raises(TypeCheckError):
+                typecheck(bad)
+            assert all(node.ty is None for node in nodes(bad))
+        # an open term, and a closed one, typed under a context
+        ctx = (Arrow(NAT, NAT), NAT)
+        for u in (gen_term(GenConfig(seed=_mix(seed, 10_000 + i)), NAT, ctx), t):
+            assert infer(u, ctx) is not None
+            assert all(node.ty is None for node in nodes(u))
+
+
+@pytest.mark.parametrize("seed", TYPE_SLOT_SEEDS)
+def test_equality_hash_and_repr_ignore_the_recorded_type(seed):
+    for t in map(typecheck, generated(seed)):
+        copy = fresh(t)
+        assert copy.ty is None and t.ty is BAIRE_FN
+        assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
+
+
 # -- numerals ---------------------------------------------------------------
 
 
@@ -554,7 +624,7 @@ def test_replace_sets_a_terms_position():
 @pytest.mark.parametrize(
     "node",
     [NAT, BAIRE_FN, Var(0), Zero(), Succ(Zero()), Lam(NAT, Var(0)), App(Var(0), Zero()),
-     Rec(NAT, Var(0), Zero(), Zero()), Leaf(0), Branch(0, Leaf)],
+     Rec(NAT, Var(0), Zero(), Zero()), Leaf(0), Branch(0, Leaf), Oracle((1,), 0)],
     ids=lambda node: type(node).__name__,
 )
 def test_nodes_are_slotted(node):

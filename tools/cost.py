@@ -1,6 +1,6 @@
 """Count the Python calls and opcodes that fixed probes of the program execute.
 
-    python3 tools/cost.py [--probes modulus_int,translate,max_grid_x0,...] [--terms 50]
+    python3 tools/cost.py [--probes modulus_int,translate,parse,infer,max_grid_x0,...] [--terms 50]
 
 Each probe runs in a fresh interpreter (this script with --one NAME), so what
 one probe builds or caches does not change another's counts.  Its set-up
@@ -15,6 +15,11 @@ versions of the program, and say nothing of time.  The probes:
                  is checked against the external modulus
   translate      `church.translate` of the same terms at the motives nat and
                  (nat -> nat) -> nat; every result's type is checked
+  parse          `parse` of `pretty(t)` for each of the same terms t; every
+                 result is checked to equal t
+  infer          `typecheck`, then `dialogue_tree_int` at the motives nat and
+                 (nat -> nat) -> nat, on one freshly parsed copy of each of
+                 the same terms; every type is checked
   max_grid_x<x>  max x y of the compiled `max_term` for y in 0..200, at
                  x = 0, 100 and 200; every answer is checked
   run_suites     all nine suites over 20 terms with at most 5 oracles each,
@@ -35,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_ROWS = (0, 100, 200)
-PROBES = ("modulus_int", "translate", *(f"max_grid_x{x}" for x in GRID_ROWS), "run_suites")
+PROBES = ("modulus_int", "translate", "parse", "infer", *(f"max_grid_x{x}" for x in GRID_ROWS), "run_suites")
 
 
 def count(fn) -> "tuple[dict, object]":
@@ -103,6 +108,34 @@ def translate_probe(n_terms: int) -> dict:
     return counts
 
 
+def parse_probe(n_terms: int) -> dict:
+    from systemt.syntax import parse, pretty
+
+    terms = probe_terms(n_terms)
+    texts = [pretty(t) for t in terms]
+    counts, out = count(lambda: [parse(text) for text in texts])
+    if out != terms:
+        raise AssertionError("a printed term parses to another term")
+    return counts
+
+
+def infer_probe(n_terms: int) -> dict:
+    from systemt.church import church_type, dialogue_tree_int
+    from systemt.dialogue import BAIRE_FN
+    from systemt.syntax import NAT, infer, parse, pretty, typecheck
+
+    terms = probe_terms(n_terms)
+    [dialogue_tree_int(t, motive) for t in terms for motive in (NAT, BAIRE_FN)]  # the warm-up builds the constants
+    copies = [parse(pretty(t)) for t in terms]  # objects no type is recorded on yet
+    counts, out = count(
+        lambda: [(typecheck(t), dialogue_tree_int(t, NAT), dialogue_tree_int(t, BAIRE_FN)) for t in copies]
+    )
+    want = (BAIRE_FN, church_type(NAT, NAT), church_type(NAT, BAIRE_FN))
+    if any(tuple(map(infer, row)) != want for row in out):
+        raise AssertionError("a term or its translation has the wrong type")
+    return counts
+
+
 def max_grid_probe(x: int) -> dict:
     from systemt.moduli import max_term
     from systemt.set_model import apply_set, eval_set, natv
@@ -132,6 +165,10 @@ def one(name: str, n_terms: int) -> dict:
         return modulus_int_probe(n_terms)
     if name == "translate":
         return translate_probe(n_terms)
+    if name == "parse":
+        return parse_probe(n_terms)
+    if name == "infer":
+        return infer_probe(n_terms)
     if name == "run_suites":
         return run_suites_probe()
     return max_grid_probe(int(name.removeprefix("max_grid_x")))
@@ -140,7 +177,7 @@ def one(name: str, n_terms: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--probes", default=",".join(PROBES), help="comma-separated, of: " + ", ".join(PROBES))
-    ap.add_argument("--terms", type=int, default=50, help="generated terms of the modulus_int and translate probes")
+    ap.add_argument("--terms", type=int, default=50, help="generated terms of the probes that take terms")
     ap.add_argument("--one", choices=PROBES, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
