@@ -9,8 +9,8 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from systemt.church import dialogue_tree_int, generic_int
 from systemt.dialogue import Branch, Leaf, Oracle
-from systemt.church import dialogue_tree_int
 from systemt.harness import GenConfig, _mix, _shrink_candidates, gen_term
 from systemt.syntax import (
     NAT,
@@ -334,6 +334,16 @@ def test_a_recorded_type_is_the_type_of_a_fresh_copy(seed):
             for node in recorded.values():
                 copy = fresh(node)
                 assert copy.ty is None and infer(copy) is node.ty
+
+
+def test_infer_does_not_walk_into_a_node_with_a_recorded_type(monkeypatch):
+    from systemt import syntax
+
+    generic, walked, infer_ = generic_int(NAT), [], syntax._infer
+    inside = {id(node) for node in nodes(generic)} - {id(generic)}
+    monkeypatch.setattr(syntax, "_infer", lambda t, ctx: walked.append(id(t)) or infer_(t, ctx))
+    typecheck(dialogue_tree_int(parse("fun (a : nat -> nat) -> a 4"), NAT))
+    assert id(generic) in walked and inside.isdisjoint(walked)
 
 
 @pytest.mark.parametrize("seed", TYPE_SLOT_SEEDS)
