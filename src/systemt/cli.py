@@ -3,6 +3,10 @@
 Exit codes: 0 on success, 1 on parse/type errors, bad oracles and terms too
 deep for the 512 MiB stack a command runs on, 2 on a selftest or verification
 failure or a usage error.
+
+Each command but selftest names one term file.  `_run` reads and parses it
+into `args.term` on the worker, before the command runs; the command's own
+entry walks the term's types.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import asdict
 from . import church, harness, moduli
 from .dialogue import BAIRE_FN, Oracle, TypeMismatch, dialogue_tree, dieval, require_baire_fn, tree_sexpr
 from .set_model import eval_set
-from .syntax import NAT, ParseError, Term, TypeCheckError, UnboundVariable, format_ty, infer, parse, pretty
+from .syntax import NAT, ParseError, TypeCheckError, UnboundVariable, format_ty, infer, parse, pretty
 
 #: Per-suite (terms-or-trees, oracles) scales of the default selftest run.
 SELFTEST_SCALES = {suite: (n, k) for suite, (_, n, k) in harness.SUITES.items()}
@@ -24,20 +28,13 @@ SELFTEST_SCALES = {suite: (n, k) for suite, (_, n, k) in harness.SUITES.items()}
 _MOTIVES = {"nat": NAT, "baire": BAIRE_FN}
 
 
-def _load_term(path: str) -> Term:
-    """Parse a term file; each command's own entry walks the term's types."""
-    with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is not a token
-        return parse(handle.read())
-
-
 def cmd_check(args) -> int:
-    term = _load_term(args.file)
-    print(format_ty(infer(term, ())))
+    print(format_ty(infer(args.term, ())))
     return 0
 
 
 def cmd_eval(args) -> int:
-    term = _load_term(args.file)
+    term = args.term
     require_baire_fn(term)
     alpha = Oracle.from_spec(args.oracle)
     asked, path = [], []
@@ -55,25 +52,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    term = _load_term(args.file)
-    print(tree_sexpr(dialogue_tree(term), answers=args.answers, depth=args.depth))
+    print(tree_sexpr(dialogue_tree(args.term), answers=args.answers, depth=args.depth))
     return 0
 
 
 def cmd_translate(args) -> int:
-    term = _load_term(args.file)
-    print(pretty(church.dialogue_tree_int(term, _MOTIVES[args.motive])))
+    print(pretty(church.dialogue_tree_int(args.term, _MOTIVES[args.motive])))
     return 0
 
 
 def cmd_modulus(args) -> int:
-    term = _load_term(args.file)
-    mod_v = eval_set(moduli.modulus_int())(eval_set(church.dialogue_tree_int(term, NAT)))
+    mod_v = eval_set(moduli.modulus_int())(eval_set(church.dialogue_tree_int(args.term, NAT)))
     alpha = Oracle.from_spec(args.oracle)
     m = mod_v(alpha)
     print(m)
     if args.verify:
-        tv = eval_set(term)
+        tv = eval_set(args.term)
         want = tv(alpha)
         rng = random.Random(args.seed)
         for i in range(args.verify):
@@ -87,8 +81,7 @@ def cmd_modulus(args) -> int:
 
 
 def cmd_umodulus(args) -> int:
-    term = _load_term(args.file)
-    print(eval_set(moduli.modulus_uni_int())(eval_set(church.dialogue_tree_int(term, NAT))))
+    print(eval_set(moduli.modulus_uni_int())(eval_set(church.dialogue_tree_int(args.term, NAT))))
     return 0
 
 
@@ -124,40 +117,35 @@ def _int_at_least(low: int):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="systemt", description=__doc__)
+    # the docstring's last paragraph is about the code, not for --help
+    top = argparse.ArgumentParser(prog="systemt", description=__doc__.rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="typecheck a term and print its type")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_check)
+    def term_command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file")
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("eval", help="apply a (nat -> nat) -> nat term to an oracle")
-    p.add_argument("file")
+    term_command("check", cmd_check, "typecheck a term and print its type")
+
+    p = term_command("eval", cmd_eval, "apply a (nat -> nat) -> nat term to an oracle")
     p.add_argument("--oracle", required=True, help='e.g. "5,6,7;default=1"')
     p.add_argument("--trace", action="store_true", help="also print the indices asked and the tree path's queries")
-    p.set_defaults(run=cmd_eval)
 
-    p = sub.add_parser("tree", help="print the dialogue tree as an s-expression")
-    p.add_argument("file")
+    p = term_command("tree", cmd_tree, "print the dialogue tree as an s-expression")
     p.add_argument("--answers", type=_int_at_least(1), default=2, help="materialized answer alphabet {0..K-1}")
     p.add_argument("--depth", type=_int_at_least(0), default=64, help="depth bound; deeper subtrees print (...)")
-    p.set_defaults(run=cmd_tree)
 
-    p = sub.add_parser("translate", help="print the encoded-tree term for a file")
-    p.add_argument("file")
+    p = term_command("translate", cmd_translate, "print the encoded-tree term for a file")
     p.add_argument("--motive", choices=sorted(_MOTIVES), required=True)
-    p.set_defaults(run=cmd_translate)
 
-    p = sub.add_parser("modulus", help="internal modulus of continuity at an oracle")
-    p.add_argument("file")
+    p = term_command("modulus", cmd_modulus, "internal modulus of continuity at an oracle")
     p.add_argument("--oracle", required=True)
     p.add_argument("--verify", type=_int_at_least(0), default=0, metavar="N", help="sample N agreeing points")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=cmd_modulus)
 
-    p = sub.add_parser("umodulus", help="internal uniform modulus over the Cantor space")
-    p.add_argument("file")
-    p.set_defaults(run=cmd_umodulus)
+    term_command("umodulus", cmd_umodulus, "internal uniform modulus over the Cantor space")
 
     p = sub.add_parser("selftest", help="run the differential property suites")
     p.add_argument("--suite", choices=harness.SUITE_IDS)
@@ -172,6 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args, outcome: list) -> None:
     try:
+        if "file" in args:
+            with open(args.file, encoding="utf-8-sig") as handle:  # a byte-order mark is not a token
+                args.term = parse(handle.read())
         outcome.append(args.run(args))
     except BaseException as err:  # raised again on the calling thread
         outcome.append(err)

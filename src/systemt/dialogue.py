@@ -128,11 +128,7 @@ class Graft:
         return Graft(lambda c: self.run(lambda n: c(n + k)))
 
 
-#: A value of the tree model: an int asks nothing, a Graft asks.
-DialValue = Union[int, Graft, Callable]
-
-
-def gkleisli(ty: Ty, fn: Callable[[int], DialValue], tree: "int | Graft") -> DialValue:
+def gkleisli(ty: Ty, fn: Callable[[int], "int | Graft | Callable"], tree: "int | Graft") -> "int | Graft | Callable":
     """Kleisli extension lifted pointwise through arrow types: O(1) at ground.
     On an int it is fn applied at once, at any type (KE f (eta n) = f n)."""
     if type(tree) is int:  # eager, so pure arithmetic nests no closures

@@ -11,8 +11,9 @@ takes an input's views and a point (an oracle, or None for the uniform suites,
 which look at the whole tree once) to a failure detail or None.  The views of
 an input are built on first use and shared by all its points: the set-model
 value, the external dialogue tree and its Church encoding, the compiled
-internal tree, the internal dialogue operator applied to the internal tree,
-and the tree-wide max question over answers 0 and 1.  Inputs are closed terms
+internal tree (its translation typechecked first), the internal dialogue
+operator applied to the internal tree, and the tree-wide max question over
+answers 0 and 1.  Inputs are closed terms
 of type (nat -> nat) -> nat, except lem36's: the tree gen_tree draws from the
 input's seed, whose views hold no term.  A check builds the closed constants it
 applies, such as `moduli.modulus_int()`, at each use, so a test can swap in a
@@ -58,6 +59,7 @@ from .syntax import (
     Succ,
     Term,
     Ty,
+    TypeCheckError,
     Var,
     Zero,
     arrow,
@@ -321,14 +323,22 @@ class _Views:
     def encoded(self):
         return church.encode(self.tree, NAT)
 
+    def _tree_int(self, motive: Ty):
+        """The compiled internal tree at motive.  Its translation must have type
+        church_type(nat, motive), or TypeCheckError is raised before it compiles."""
+        t = church.dialogue_tree_int(self.term, motive)
+        ty, want = infer(t, ()), church.church_type(NAT, motive)
+        if ty != want:
+            raise TypeCheckError(None, want, ty)
+        return eval_set(t)
+
     @cached_property
     def internal(self):
-        return eval_set(church.dialogue_tree_int(self.term, NAT))
+        return self._tree_int(NAT)
 
     @cached_property
     def internal_dialogue(self):
-        internal = eval_set(church.dialogue_tree_int(self.term, BAIRE_FN))
-        return eval_set(church.dialogue_f_int())(internal)
+        return eval_set(church.dialogue_f_int())(self._tree_int(BAIRE_FN))
 
     @cached_property
     def encoded_dialogue(self):  # lem36's: the internal dialogue operator on the tree's encoding

@@ -177,6 +177,7 @@ def test_each_command_walks_the_loaded_terms_types_once(capsys, monkeypatch, arg
     monkeypatch.setattr(syntax, "_infer", lambda t, ctx: roots.append(t is loaded[0]) or infer(t, ctx))
     code, _, _ = run(capsys, argv[0], corpus("aa2"), *argv[1:])
     assert code == 0
+    assert len(loaded) == 1
     assert roots.count(True) == 1
 
 

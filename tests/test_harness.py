@@ -1,3 +1,4 @@
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from systemt.harness import (
     shrink_term,
 )
 from systemt.set_model import NatV, eval_set
-from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero, infer, numeral, parse, pretty, typecheck
+from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero, format_ty, infer, numeral, parse, pretty, typecheck
 
 from extensional import hee_check
 from test_church import on_a_fresh_thread_at_the_default_limit
@@ -233,6 +234,33 @@ def test_a_check_that_raises_fails_its_case_with_a_shrunk_witness(monkeypatch):
         # each witness keeps the rec the raise needs, and no smaller candidate does
         assert "rec[" in failure.term
         assert all("rec[" not in pretty(c) for c in _shrink_candidates(witness))
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_a_rec_step_translated_under_a_binder_too_many_fails_its_typecheck(monkeypatch, seed):
+    # a planted fault in church._translate: each outer binder a rec step reads
+    # is off by one.  The set model runs such a translation without a complaint
+    # and often to the right value: these 20 terms pass every value comparison.
+    source = inspect.getsource(church._translate)
+    assert source.count("depth + 2") == 1
+    namespace = dict(vars(church))
+    exec(source.replace("depth + 2", "depth + 3"), namespace)
+    monkeypatch.setattr(church, "_translate", namespace["_translate"])
+    reports = run_suites({suite: (20, 2) for suite in SUITE_IDS}, GenConfig(seed=seed))
+    assert {r.suite for r in reports if r.failures} == {"thm37", "lem44", "thm45", "lem54", "thm55"}
+    for failure in (failure for r in reports for failure in r.failures):
+        assert failure.detail.startswith("raised TypeCheckError: ")
+        assert "rec[" in failure.term  # the shrunk witness keeps a rec
+
+
+def test_an_internal_tree_of_the_other_motive_fails_its_typecheck(monkeypatch):
+    # well typed, at the wrong type: the check compares types, not only infers one
+    other = {NAT: BAIRE_FN, BAIRE_FN: NAT}
+    monkeypatch.setattr(church, "dialogue_tree_int", lambda term, motive: ORIGINAL_TREE_INT(term, other[motive]))
+    (report,) = run_suites({"thm37": (0, 1)}, GenConfig(seed=0), corpus_terms()[:1])
+    assert [failure.detail.split(",")[0] for failure in report.failures] == [
+        f"raised TypeCheckError: expected {format_ty(church.church_type(NAT, BAIRE_FN))}"
+    ]
 
 
 @pytest.mark.parametrize(

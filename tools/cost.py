@@ -1,6 +1,7 @@
-"""Count the Python calls and opcodes that fixed probes of the program execute.
+"""Count the Python calls and opcodes that fixed probes of the program execute,
+and find the deepest terms some of its entries take.
 
-    python3 tools/cost.py [--probes modulus_int,translate,parse,infer,max_grid_x0,...] [--terms 50]
+    python3 tools/cost.py [--probes modulus_int,translate,...,depth_parse_app,...] [--terms 50]
 
 Each probe runs in a fresh interpreter (this script with --one NAME), so what
 one probe builds or caches does not change another's counts.  Its set-up
@@ -25,8 +26,22 @@ versions of the program, and say nothing of time.  The probes:
   run_suites     all nine suites over 20 terms with at most 5 oracles each,
                  seed 0, counted on the second of two runs
 
-Prints one JSON object: the Python version and, per probe, its calls and opcodes.
-Standard library only.
+A depth probe prints the largest n up to MAX_DEPTH (4096) for which its entry
+returns on a fresh thread at recursion limit 1000, found by binary search
+after a warm-up at n = 1:
+
+  depth_parse_app        `parse` of fun (a : nat -> nat) -> a (a (... a 0)),
+                         n queries nested
+  depth_parse_succ       `parse` of fun (a : nat -> nat) -> succ (... succ (a 0)),
+                         n successors nested
+  depth_modulus_int_app  the compiled internal modulus at the oracle i -> i + 1
+                         on `dialogue_tree_int` of depth_parse_app's term,
+                         built with App, not parsed; translating and
+                         compiling included
+  depth_modulus_int_succ the same on depth_parse_succ's term, built with Succ
+
+Prints one JSON object: the Python version, --terms and, per probe, its calls
+and opcodes or its depth.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,8 +54,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GRID_ROWS = (0, 100, 200)
-PROBES = ("modulus_int", "translate", "parse", "infer", *(f"max_grid_x{x}" for x in GRID_ROWS), "run_suites")
+MAX_DEPTH = 4096
 
 
 def count(fn) -> "tuple[dict, object]":
@@ -136,18 +150,23 @@ def infer_probe(n_terms: int) -> dict:
     return counts
 
 
-def max_grid_probe(x: int) -> dict:
-    from systemt.moduli import max_term
-    from systemt.set_model import apply_set, eval_set, natv
+def max_grid_probe(x: int):
+    """The probe of max x y for y in 0..200."""
 
-    fx = apply_set(eval_set(max_term()), natv(x))
-    counts, out = count(lambda: [apply_set(fx, natv(y)).value for y in range(201)])
-    if out != [max(x, y) for y in range(201)]:
-        raise AssertionError(f"max {x} y is wrong")
-    return counts
+    def probe(n_terms: int) -> dict:
+        from systemt.moduli import max_term
+        from systemt.set_model import apply_set, eval_set, natv
+
+        fx = apply_set(eval_set(max_term()), natv(x))
+        counts, out = count(lambda: [apply_set(fx, natv(y)).value for y in range(201)])
+        if out != [max(x, y) for y in range(201)]:
+            raise AssertionError(f"max {x} y is wrong")
+        return counts
+
+    return probe
 
 
-def run_suites_probe() -> dict:
+def run_suites_probe(n_terms: int) -> dict:
     from systemt.harness import SUITES, GenConfig, run_suites
 
     scales = {which: (20, min(k, 5)) for which, (_, _, k) in SUITES.items()}
@@ -158,20 +177,86 @@ def run_suites_probe() -> dict:
     return counts
 
 
-def one(name: str, n_terms: int) -> dict:
-    """The counts of one probe, run in this process."""
-    sys.path.insert(0, str(ROOT / "src"))
-    if name == "modulus_int":
-        return modulus_int_probe(n_terms)
-    if name == "translate":
-        return translate_probe(n_terms)
-    if name == "parse":
-        return parse_probe(n_terms)
-    if name == "infer":
-        return infer_probe(n_terms)
-    if name == "run_suites":
-        return run_suites_probe()
-    return max_grid_probe(int(name.removeprefix("max_grid_x")))
+def deepest(run, build):
+    """The depth probe of the entry run on the input build(n)."""
+
+    def probe(n_terms: int) -> dict:
+        import threading
+
+        raised = []
+        threading.excepthook = lambda hook: raised.append(hook.exc_type)
+        sys.setrecursionlimit(1000)
+
+        def returns(n: int) -> bool:
+            thread = threading.Thread(target=run, args=(build(n),))  # no frame between the thread's and run's
+            thread.start()
+            thread.join()
+            if not raised:
+                return True
+            if raised.pop() is RecursionError:
+                return False
+            raise AssertionError(f"the entry raised at depth {n}")
+
+        returns(1)  # the warm-up builds the shared constants and fills the caches
+        lo, hi = 0, MAX_DEPTH
+        if returns(hi):
+            return {"depth": hi}
+        while hi - lo > 1:  # returns(lo) and not returns(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if returns(mid) else (lo, mid)
+        return {"depth": lo}
+
+    return probe
+
+
+def nested_queries(n: int):
+    """fun (a : nat -> nat) -> a (a (... a 0)), n queries, built with App."""
+    from systemt.syntax import NAT, App, Arrow, Lam, Var, Zero
+
+    body = Zero()
+    for _ in range(n):
+        body = App(Var(0), body)
+    return Lam(Arrow(NAT, NAT), body)
+
+
+def successors_of_a_query(n: int):
+    """fun (a : nat -> nat) -> succ^n (a 0), built with Succ."""
+    from systemt.syntax import NAT, App, Arrow, Lam, Succ, Var, Zero
+
+    body = App(Var(0), Zero())
+    for _ in range(n):
+        body = Succ(body)
+    return Lam(Arrow(NAT, NAT), body)
+
+
+def parse_entry(text: str):
+    from systemt.syntax import parse
+
+    return parse(text)
+
+
+def modulus_int_entry(term):
+    from systemt.church import dialogue_tree_int
+    from systemt.moduli import modulus_int
+    from systemt.set_model import eval_set
+    from systemt.syntax import NAT
+
+    return eval_set(modulus_int())(eval_set(dialogue_tree_int(term, NAT)))(lambda i: i + 1)
+
+
+#: Each probe by name, in the order they print: a function of --terms to its JSON.
+PROBES = {
+    "modulus_int": modulus_int_probe,
+    "translate": translate_probe,
+    "parse": parse_probe,
+    "infer": infer_probe,
+    **{f"max_grid_x{x}": max_grid_probe(x) for x in (0, 100, 200)},
+    "run_suites": run_suites_probe,
+    "depth_parse_app": deepest(parse_entry, lambda n: "fun (a : nat -> nat) -> " + "a (" * n + "0" + ")" * n),
+    "depth_parse_succ": deepest(parse_entry, lambda n: "fun (a : nat -> nat) -> " + "succ (" * n + "a 0" + ")" * n),
+    "depth_modulus_int_app": deepest(modulus_int_entry, nested_queries),
+    "depth_modulus_int_succ": deepest(modulus_int_entry, successors_of_a_query),
+}
 
 
 def main(argv=None) -> int:
@@ -181,7 +266,8 @@ def main(argv=None) -> int:
     ap.add_argument("--one", choices=PROBES, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        print(json.dumps(one(args.one, args.terms)))
+        sys.path.insert(0, str(ROOT / "src"))
+        print(json.dumps(PROBES[args.one](args.terms)))
         return 0
     probes = args.probes.split(",")
     for name in probes:
