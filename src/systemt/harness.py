@@ -25,7 +25,9 @@ views it was first to need.  A check that raises fails its case with the
 detail "raised <Class>: <message>"; RecursionError, a limit of the caller's
 stack, propagates.  A failing term is shrunk by re-running the same check on
 fresh views of every candidate while it fails the same way: a mismatch, or a
-raise of the same class.  A failing tree is reported by its oracle alone.
+raise of the same class.  A term and check shrink once per way of failing: a
+later point where the witness fails the same way reports it again.  A failing
+tree is reported by its oracle alone.
 
 thm45 decides most cases by replay, reading Theorem 4.5 operationally as in
 effectful forcing: the compiled set-model value is deterministic and sees the
@@ -422,6 +424,20 @@ def _verdict(check, v: _Views, alpha: Optional[Oracle]) -> "tuple[Optional[str],
     return (None if detail in (None, _REPLAYED) else "mismatch"), detail
 
 
+def _witness(check, v: _Views, alpha: Optional[Oracle], failing: str, earlier: dict) -> Term:
+    """v's term shrunk while check fails at alpha as `failing`.  The witness
+    earlier[failing], shrunk at another point of the same term and check, is
+    kept if it fails that way here too; a new one is stored there."""
+
+    def fails(t: Term) -> bool:
+        return _verdict(check, _Views(t, v.seed), alpha)[0] == failing
+
+    witness = earlier.get(failing)
+    if witness is None or not fails(witness):
+        witness = earlier[failing] = shrink_term(v.term, fails)
+    return witness
+
+
 def _thm45(v: _Views, alpha: Oracle) -> Optional[str]:
     """Oracles agreeing with alpha below the internal modulus m give its value.
     The set-model value is deterministic and reads the oracle only by calling
@@ -498,16 +514,26 @@ SUITES = {
 SUITE_IDS = tuple(SUITES)
 
 
+@lru_cache(maxsize=256)
+def _oracles(cfg: GenConfig, n: int) -> "tuple[Oracle, ...]":
+    """The n oracles a run at cfg checks, seeds _mix(cfg.seed, 7919 + i).  They
+    are kept for the 256 latest (cfg, n), about 1 MB at 20 oracles each, and
+    shared by every run: an Oracle is immutable."""
+    return tuple(gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n))
+
+
 def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Report]":
     """Run the suites `scales` maps to (inputs, oracles per input) in one pass
     over the inputs and report in that order.  Each suite checks a prefix of
     one oracle list and of one term list, extra terms first; lem36 checks a
-    prefix of the generated trees instead."""
+    prefix of the generated trees instead.  The oracle list depends only on cfg
+    and its length, and is drawn once per process (`_oracles`), so calls that
+    run one suite each at one cfg share it."""
     for which in scales:
         if which not in SUITES:
             raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
     n_oracles = max((k for which, (_, k) in scales.items() if SUITES[which][2]), default=0)
-    oracles = [gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n_oracles)]
+    oracles = _oracles(cfg, n_oracles)
     terms = list(extra_terms)
     suites = [
         (Report(which, 0), check, n if which == "lem36" else len(terms) + n, oracles[:k] if default_k else [None])
@@ -522,16 +548,14 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
         term_views, tree_views = _Views(terms[i] if i < len(terms) else None, seed), _Views(None, seed)
         for report, check, n_inputs, points in suites:
             views = tree_views if report.suite == "lem36" else term_views
-            started = time.perf_counter()
+            started, witnesses = time.perf_counter(), {}
             for alpha in points if i < n_inputs else ():
                 report.cases += 1
                 failing, detail = _verdict(check, views, alpha)
                 if detail is _REPLAYED:
                     report.replayed += 1
                 elif failing:  # a tree of lem36 has no term to shrink
-                    term = views.term and pretty(
-                        shrink_term(views.term, lambda t: _verdict(check, _Views(t, seed), alpha)[0] == failing)
-                    )
+                    term = views.term and pretty(_witness(check, views, alpha, failing, witnesses))
                     spec = None if alpha is None else alpha.spec()
                     report.failures.append(Failure(term, spec, detail))
             report.seconds += time.perf_counter() - started

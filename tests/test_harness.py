@@ -236,16 +236,20 @@ def test_a_check_that_raises_fails_its_case_with_a_shrunk_witness(monkeypatch):
         assert all("rec[" not in pretty(c) for c in _shrink_candidates(witness))
 
 
-@pytest.mark.parametrize("seed", [0, 101])
-def test_a_rec_step_translated_under_a_binder_too_many_fails_its_typecheck(monkeypatch, seed):
-    # a planted fault in church._translate: each outer binder a rec step reads
-    # is off by one.  The set model runs such a translation without a complaint
-    # and often to the right value: these 20 terms pass every value comparison.
+def _plant_a_rec_step_fault(monkeypatch):
+    """A fault in church._translate: each outer binder a rec step reads is off by one."""
     source = inspect.getsource(church._translate)
     assert source.count("depth + 2") == 1
     namespace = dict(vars(church))
     exec(source.replace("depth + 2", "depth + 3"), namespace)
     monkeypatch.setattr(church, "_translate", namespace["_translate"])
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_a_rec_step_translated_under_a_binder_too_many_fails_its_typecheck(monkeypatch, seed):
+    # the set model runs such a translation without a complaint and often to
+    # the right value: these 20 terms pass every value comparison
+    _plant_a_rec_step_fault(monkeypatch)
     reports = run_suites({suite: (20, 2) for suite in SUITE_IDS}, GenConfig(seed=seed))
     assert {r.suite for r in reports if r.failures} == {"thm37", "lem44", "thm45", "lem54", "thm55"}
     for failure in (failure for r in reports for failure in r.failures):
@@ -286,6 +290,44 @@ def test_a_witness_shrinks_only_while_it_fails_the_same_way(monkeypatch, whole, 
     [failure] = run_suite("thm16", n_terms=0, n_oracles=1, extra_terms=[term]).failures
     assert failure.detail == (whole if isinstance(whole, str) else f"raised {whole.__name__}: planted")
     assert failure.term == pretty(canonical(BAIRE_FN) if shrinks else term)
+
+
+def _counting_shrinks(monkeypatch) -> list:
+    """The terms harness.shrink_term is called on, from now on."""
+    shrunk = []
+    monkeypatch.setattr(harness, "shrink_term", lambda term, fails: shrunk.append(term) or shrink_term(term, fails))
+    return shrunk
+
+
+def test_a_term_shrinks_once_per_suite_and_way_of_failing(monkeypatch):
+    # the planted fault fails a term's internal tree at every oracle alike, so
+    # its witness is shrunk at the first oracle and reported again at the others
+    _plant_a_rec_step_fault(monkeypatch)
+    shrunk = _counting_shrinks(monkeypatch)
+    (report,) = run_suites({"thm37": (20, 5)}, GenConfig(seed=0))
+    assert shrunk and len(report.failures) == 5 * len(shrunk)
+    assert set(Counter(failure.term for failure in report.failures).values()) <= {5, 10, 15}
+
+
+def test_a_witness_is_reused_only_where_it_fails_the_same_way(monkeypatch):
+    # the whole term fails at every oracle, by a raise at oracle 2; a smaller
+    # term fails only at oracle 0
+    term, oracles = corpus_terms()[7], harness._oracles(GenConfig(), 4)
+    assert len(set(oracles)) == 4
+
+    def check(v, alpha):
+        k = oracles.index(alpha)
+        if v.term == term and k == 2:
+            raise ValueError("planted")
+        return "a mismatch" if v.term == term or k == 0 else None
+
+    monkeypatch.setitem(harness.SUITES, "thm16", (check, 500, 20))
+    shrunk = _counting_shrinks(monkeypatch)
+    failures = run_suite("thm16", n_terms=0, n_oracles=4, extra_terms=[term]).failures
+    small, whole = pretty(canonical(BAIRE_FN)), pretty(term)
+    assert [failure.term for failure in failures] == [small, whole, whole, whole]
+    # at oracle 0; at 1, where oracle 0's witness passes; at 2, which raises; not at 3
+    assert len(shrunk) == 3
 
 
 @pytest.mark.parametrize("whole", [RecursionError, ValueError])
@@ -497,6 +539,18 @@ def test_a_whole_tree_suite_runs_one_case_per_term_whatever_its_oracle_count(mon
     monkeypatch.setattr(harness, "gen_oracle", drawn.append)
     (report,) = run_suites({suite: (3, 4)}, GenConfig(seed=5))
     assert (report.cases, report.passed, drawn) == (3, True, [])
+
+
+def test_a_seeds_oracles_are_drawn_once_per_process(monkeypatch):
+    seen, drawn = [], []
+    monkeypatch.setitem(harness.SUITES, "thm16", (lambda v, alpha: seen.append(alpha), 500, 20))
+    monkeypatch.setattr(harness, "gen_oracle", lambda cfg: drawn.append(cfg) or gen_oracle(cfg))
+    harness._oracles.cache_clear()
+    first = run_suite("thm16", GenConfig(seed=7), n_terms=1, n_oracles=3)
+    assert (first.cases, len(drawn)) == (3, 3)
+    second = run_suite("thm16", GenConfig(seed=7), n_terms=1, n_oracles=3)
+    assert (second.cases, len(drawn)) == (3, 3)  # the second call draws none
+    assert seen == [gen_oracle(GenConfig(seed=harness._mix(7, 7919 + i))) for i in range(3)] * 2
 
 
 def test_run_suites_rejects_unknown_id():

@@ -25,6 +25,8 @@ versions of the program, and say nothing of time.  The probes:
                  x = 0, 100 and 200; every answer is checked
   run_suites     all nine suites over 20 terms with at most 5 oracles each,
                  seed 0, counted on the second of two runs
+  run_suite_each the same nine suites on the same inputs, one `run_suite`
+                 call per suite, counted on the second of two rounds
 
 A depth probe prints the largest n up to MAX_DEPTH (4096) for which its entry
 returns on a fresh thread at recursion limit 1000, found by binary search
@@ -39,6 +41,14 @@ after a warm-up at n = 1:
                          built with App, not parsed; translating and
                          compiling included
   depth_modulus_int_succ the same on depth_parse_succ's term, built with Succ
+  depth_infer_app/_succ  `infer` of the same two terms
+  depth_translate_app/_succ
+                         `church.translate` of them at the motive nat
+  depth_eval_set_app/_succ
+                         `eval_set` of them, compiling included, at the oracle
+                         i -> i + 1
+  depth_dialogue_tree_app/_succ
+                         `dieval` at that oracle of their `dialogue_tree`
 
 Prints one JSON object: the Python version, --terms and, per probe, its calls
 and opcodes or its depth.  Standard library only.
@@ -177,6 +187,19 @@ def run_suites_probe(n_terms: int) -> dict:
     return counts
 
 
+def run_suite_each_probe(n_terms: int) -> dict:
+    from systemt.harness import SUITES, GenConfig, run_suite
+
+    def each():
+        return [run_suite(which, GenConfig(0), 20, min(k, 5)) for which, (_, _, k) in SUITES.items()]
+
+    each()  # the warm-up builds every constant and cache
+    counts, reports = count(each)
+    if not all(r.passed for r in reports):
+        raise AssertionError("a suite failed: " + "; ".join(map(str, reports)))
+    return counts
+
+
 def deepest(run, build):
     """The depth probe of the entry run on the input build(n)."""
 
@@ -244,6 +267,31 @@ def modulus_int_entry(term):
     return eval_set(modulus_int())(eval_set(dialogue_tree_int(term, NAT)))(lambda i: i + 1)
 
 
+def infer_entry(term):
+    from systemt.syntax import infer
+
+    return infer(term)
+
+
+def translate_entry(term):
+    from systemt.church import translate
+    from systemt.syntax import NAT
+
+    return translate(term, NAT)
+
+
+def eval_set_entry(term):
+    from systemt.set_model import eval_set
+
+    return eval_set(term)(lambda i: i + 1)
+
+
+def dialogue_tree_entry(term):
+    from systemt.dialogue import dialogue_tree, dieval
+
+    return dieval(dialogue_tree(term), lambda i: i + 1)
+
+
 #: Each probe by name, in the order they print: a function of --terms to its JSON.
 PROBES = {
     "modulus_int": modulus_int_probe,
@@ -252,10 +300,20 @@ PROBES = {
     "infer": infer_probe,
     **{f"max_grid_x{x}": max_grid_probe(x) for x in (0, 100, 200)},
     "run_suites": run_suites_probe,
+    "run_suite_each": run_suite_each_probe,
     "depth_parse_app": deepest(parse_entry, lambda n: "fun (a : nat -> nat) -> " + "a (" * n + "0" + ")" * n),
     "depth_parse_succ": deepest(parse_entry, lambda n: "fun (a : nat -> nat) -> " + "succ (" * n + "a 0" + ")" * n),
-    "depth_modulus_int_app": deepest(modulus_int_entry, nested_queries),
-    "depth_modulus_int_succ": deepest(modulus_int_entry, successors_of_a_query),
+    **{
+        f"depth_{name}_{shape}": deepest(entry, build)
+        for name, entry in (
+            ("modulus_int", modulus_int_entry),
+            ("infer", infer_entry),
+            ("translate", translate_entry),
+            ("eval_set", eval_set_entry),
+            ("dialogue_tree", dialogue_tree_entry),
+        )
+        for shape, build in (("app", nested_queries), ("succ", successors_of_a_query))
+    },
 }
 
 
