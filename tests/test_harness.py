@@ -306,7 +306,6 @@ def test_a_term_shrinks_once_per_suite_and_way_of_failing(monkeypatch):
     shrunk = _counting_shrinks(monkeypatch)
     (report,) = run_suites({"thm37": (20, 5)}, GenConfig(seed=0))
     assert shrunk and len(report.failures) == 5 * len(shrunk)
-    assert set(Counter(failure.term for failure in report.failures).values()) <= {5, 10, 15}
 
 
 def test_a_witness_is_reused_only_where_it_fails_the_same_way(monkeypatch):
