@@ -516,9 +516,8 @@ SUITE_IDS = tuple(SUITES)
 
 @lru_cache(maxsize=256)
 def _oracles(cfg: GenConfig, n: int) -> "tuple[Oracle, ...]":
-    """The n oracles a run at cfg checks, seeds _mix(cfg.seed, 7919 + i).  They
-    are kept for the 256 latest (cfg, n), about 1 MB at 20 oracles each, and
-    shared by every run: an Oracle is immutable."""
+    """The n oracles a run at cfg checks, kept for the latest 256 (cfg, n), under
+    1 MB at 20 oracles each, and shared: an Oracle is immutable."""
     return tuple(gen_oracle(replace(cfg, seed=_mix(cfg.seed, 7919 + i))) for i in range(n))
 
 
@@ -527,8 +526,7 @@ def run_suites(scales, cfg: GenConfig = GenConfig(), extra_terms=()) -> "list[Re
     over the inputs and report in that order.  Each suite checks a prefix of
     one oracle list and of one term list, extra terms first; lem36 checks a
     prefix of the generated trees instead.  The oracle list depends only on cfg
-    and its length, and is drawn once per process (`_oracles`), so calls that
-    run one suite each at one cfg share it."""
+    and its length, and calls at one cfg share one draw of it (`_oracles`)."""
     for which in scales:
         if which not in SUITES:
             raise ValueError(f"unknown suite {which!r}; pick one of {', '.join(SUITE_IDS)}")
