@@ -135,22 +135,23 @@ def translate(term: Term, motive: Motive) -> Term:
 
 def _translate(t: Term, motive: Motive, levels: tuple, depth: int) -> Term:
     # not a closure over itself, which would leave a reference cycle per call
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is App:
+        return App(_translate(t.fn, motive, levels, depth), _translate(t.arg, motive, levels, depth))
+    if cls is Var:
         i = t.index
         j = depth - 1 - levels[i] if i < len(levels) else i - len(levels) + depth
         return t if i == j else Var(j)
-    if isinstance(t, App):
-        return App(_translate(t.fn, motive, levels, depth), _translate(t.arg, motive, levels, depth))
-    if isinstance(t, Lam):
+    if cls is Lam:
         return Lam(translate_type(t.domain, motive), _translate(t.body, motive, (depth, *levels), depth + 1))
-    if isinstance(t, (Zero, Succ)):  # the chain in a loop: no frame per succ
+    if cls is Succ or cls is Zero:  # the chain in a loop: no frame per succ
         n, core = successors(t)
         zero, succ = _numerals(motive)
-        out = zero if isinstance(core, Zero) else _translate(core, motive, levels, depth)
+        out = zero if type(core) is Zero else _translate(core, motive, levels, depth)
         for _ in range(n):
             out = App(succ, out)
         return out
-    if isinstance(t, Rec):  # the step under two new binders, the base under one
+    if cls is Rec:  # the step under two new binders, the base under one
         step = _translate(t.step, motive, levels, depth + 2)
         base = _translate(t.base, motive, levels, depth + 1)
         rec_fn = Lam(

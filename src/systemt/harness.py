@@ -9,12 +9,12 @@ Every suite observes one natural number two ways and checks that they agree;
 its row in the table `SUITES` holds its check and default scale.  A check
 takes an input's views and a point (an oracle, or None for the uniform suites,
 which look at the whole tree once) to a failure detail or None.  The views of
-an input are built on first use and shared by all its points: the set-model
-value, the external dialogue tree and its Church encoding, the compiled
-internal tree (its translation typechecked first), the internal dialogue
-operator applied to the internal tree, and the tree-wide max question over
-answers 0 and 1.  Inputs are closed terms
-of type (nat -> nat) -> nat, except lem36's: the tree gen_tree draws from the
+an input are built on first use and shared by all its points, and so is what
+building one raised: the set-model value, the external dialogue tree and its
+Church encoding, the compiled internal tree (its translation typechecked
+first), the internal dialogue operator applied to the internal tree, and the
+tree-wide max question over answers 0 and 1.  Inputs are closed terms of
+type (nat -> nat) -> nat, except lem36's: the tree gen_tree draws from the
 input's seed, whose views hold no term.  A check builds the closed constants it
 applies, such as `moduli.modulus_int()`, at each use, so a test can swap in a
 faulty one; set_model compiles each once.  `run_suites` runs any rows in one
@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional
 
@@ -303,25 +303,48 @@ def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
 # Suites
 # ---------------------------------------------------------------------------
 
+class _view:
+    """A cached_property that keeps a raise too: a view whose build raised raises that exception
+    again, with its build's traceback, and is not rebuilt."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, views, owner=None):
+        if views is None:
+            return self
+        if self.name in views.__dict__:  # read through a class attribute patched over this one
+            return views.__dict__[self.name]
+        raised = views.raised.get(self.name)
+        if raised:
+            raise raised[0].with_traceback(raised[1])
+        try:
+            views.__dict__[self.name] = value = self.build(views)
+        except Exception as err:
+            views.raised[self.name] = err, err.__traceback__
+            raise
+        return value
+
+
 class _Views:
     """What the suites observe of one input, a closed term of type
     (nat -> nat) -> nat or, with term None, lem36's generated tree; each view
-    is built on first use and kept for all the points checked."""
+    is built on first use and kept, or what its build raised, for all points."""
 
     def __init__(self, term: Term, seed: int):
-        self.term, self.seed = term, seed
+        self.term, self.seed, self.raised = term, seed, {}
 
-    @cached_property
+    @_view
     def value(self):
         return eval_set(self.term)
 
-    @cached_property
+    @_view
     def tree(self) -> DTree:
         if self.term is None:  # lem36's input
             return gen_tree(GenConfig(seed=self.seed))
         return dialogue.dialogue_tree(self.term)
 
-    @cached_property
+    @_view
     def encoded(self):
         return church.encode(self.tree, NAT)
 
@@ -334,19 +357,19 @@ class _Views:
             raise TypeCheckError(None, want, ty)
         return eval_set(t)
 
-    @cached_property
+    @_view
     def internal(self):
         return self._tree_int(NAT)
 
-    @cached_property
+    @_view
     def internal_dialogue(self):
         return eval_set(church.dialogue_f_int())(self._tree_int(BAIRE_FN))
 
-    @cached_property
+    @_view
     def encoded_dialogue(self):  # lem36's: the internal dialogue operator on the tree's encoding
         return eval_set(church.dialogue_f_int())(church.encode(self.tree, BAIRE_FN))
 
-    @cached_property
+    @_view
     def uniform_max(self) -> int:
         return moduli.max_bool_question(moduli.prune(self.tree))
 

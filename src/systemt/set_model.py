@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Union
 
-from .syntax import App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
+from .syntax import _SHARED, SUBTERMS, App, Lam, Rec, Succ, Term, Ty, Var, Zero, occurs_free, successors
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,8 @@ def eval_set(term: Term) -> Union[NatV, Callable]:
     return out if callable(out) else natv(out)
 
 
-#: Closed constants by id: the term, which keeps its id its own, and its value per model.
-_SHARED: "dict[int, tuple[Term, dict]]" = {}
-
-
 def share(term: Term) -> Term:
-    """Record a closed term, whose closure never reads its environment: every
+    """Record a closed, typechecked term, whose closure never reads its environment: every
     occurrence of this object, not of an equal one, compiles to one value per model."""
     _SHARED[id(term)] = (term, {})
     return term
@@ -100,33 +96,34 @@ def share(term: Term) -> Term:
 
 def compile_term(term: Term, model: Model) -> Compiled:
     """Compile a well-typed term into a closure over environments of the model."""
-    shared = _SHARED.get(id(term))
-    if shared is not None:
+    cls = type(term)
+    if cls is Var:
+        # a C-level getter: reading a variable costs no Python frame
+        return itemgetter(term.index)
+    if cls not in SUBTERMS:
+        raise TypeError(f"not a term: {term!r}")
+    shared = term.ty is not None and _SHARED.get(id(term))  # only a typechecked root is shared
+    if shared:
         values = shared[1]
         if model not in values:
             values[model] = _native(term, model)
         value = values[model]
         return lambda env: value
-    if isinstance(term, Var):
-        # a C-level getter: reading a variable costs no Python frame
-        return itemgetter(term.index)
-    if isinstance(term, (Zero, Succ)):
-        # collapse successor chains so deep numerals cost one frame, not one each
-        k, core = successors(term)
-        if isinstance(core, Zero):
-            return lambda env: k
-        corec = compile_term(core, model)
-        return lambda env: corec(env) + k
-    if isinstance(term, Lam):
-        bodyc = compile_term(term.body, model)
-        return lambda env: lambda v: bodyc((v,) + env)
-    if isinstance(term, App):
+    if cls is App:
         fnc = compile_term(term.fn, model)
         argc = compile_term(term.arg, model)
         return lambda env: fnc(env)(argc(env))  # the function first, then its argument
-    if isinstance(term, Rec):
+    if cls is Lam:
+        bodyc = compile_term(term.body, model)
+        return lambda env: lambda v: bodyc((v,) + env)
+    if cls is Rec:
         return model(term.motive, compile_term(term.arg, model), _compile_iterate(term, model))
-    raise TypeError(f"not a term: {term!r}")
+    # collapse successor chains so deep numerals cost one frame, not one each
+    k, core = successors(term)
+    if type(core) is Zero:
+        return lambda env: k
+    corec = compile_term(core, model)
+    return lambda env: corec(env) + k
 
 
 def _native(term: Term, model: Model):
@@ -145,9 +142,9 @@ def _native(term: Term, model: Model):
     recs = []
 
     def source(v, depth: int) -> str:
-        if isinstance(v, str):
+        if type(v) is str:
             return v
-        if isinstance(v[0], Lam):
+        if type(v[0]) is Lam:
             lam, lam_env = v
             return f"(lambda v{depth}: {source(walk(lam.body, ((f'v{depth}', 0), *lam_env), depth + 1), depth + 1)})"
         name, k = v
@@ -156,20 +153,21 @@ def _native(term: Term, model: Model):
         return f"({name} + {k})" if k else name
 
     def walk(t: Term, env: tuple, depth: int):
-        if isinstance(t, Var):
-            return env[t.index]
-        if isinstance(t, (Zero, Succ)):
-            k, core = successors(t)
-            v = (None, 0) if isinstance(core, Zero) else walk(core, env, depth)
-            return f"({v} + {k})" if isinstance(v, str) else (v[0], v[1] + k)
-        if isinstance(t, Lam):
-            return t, env
-        if isinstance(t, App):
+        cls = type(t)
+        if cls is App:
             fn, arg = walk(t.fn, env, depth), walk(t.arg, env, depth)
-            if isinstance(fn, tuple) and isinstance(fn[0], Lam) and not isinstance(arg, str):
+            if type(fn) is tuple and type(fn[0]) is Lam and type(arg) is not str:
                 return walk(fn[0].body, (arg, *fn[1]), depth)
             return f"{source(fn, depth)}({source(arg, depth)})"
-        if isinstance(t, Rec):  # the rec's indices point into the tuple of env's values
+        if cls is Var:
+            return env[t.index]
+        if cls is Lam:
+            return t, env
+        if cls is Succ or cls is Zero:
+            k, core = successors(t)
+            v = (None, 0) if type(core) is Zero else walk(core, env, depth)
+            return f"({v} + {k})" if type(v) is str else (v[0], v[1] + k)
+        if cls is Rec:  # the rec's indices point into the tuple of env's values
             recs.append(compile_term(t, model))
             return f"c{len(recs) - 1}(({''.join(f'{source(v, depth)}, ' for v in env)}))"
         raise TypeError(f"not a term: {t!r}")
@@ -181,7 +179,7 @@ def _compile_iterate(term: Rec, model: Model):
     """The closure iterate(env, n) running the recursor of term n times."""
     basec = compile_term(term.base, model)
     step = term.step
-    if isinstance(step, Lam) and isinstance(step.body, Lam):
+    if type(step) is Lam and type(step.body) is Lam:
         # Uncurried fast path: a syntactic double lambda applied to the index
         # and the accumulator is its body evaluated under two extra bindings.
         body = step.body.body

@@ -77,12 +77,13 @@ def arrow(*tys: Ty) -> Ty:
     return out
 
 
+@lru_cache(maxsize=None)  # bounded: _ARROWS keeps every type alive anyway
 def format_ty(ty: Ty) -> str:
     """The text of ty; the codomain chain is walked in a loop, in linear time."""
     parts = []
-    while isinstance(ty, Arrow):
+    while type(ty) is Arrow:
         dom = format_ty(ty.domain)
-        parts.append(f"({dom})" if isinstance(ty.domain, Arrow) else dom)
+        parts.append(f"({dom})" if type(ty.domain) is Arrow else dom)
         ty = ty.codomain
     parts.append("nat")
     return " -> ".join(parts)
@@ -159,6 +160,10 @@ SUBTERMS = {
     App: (("fn", 0), ("arg", 0)),
 }
 
+#: Closed constants by id, recorded by `set_model.share`: the term, which keeps its id its own,
+#: and a memo holding its value per model and its printed text per (binder depth, atom).
+_SHARED: "dict[int, tuple[Term, dict]]" = {}
+
 
 def numeral(n: int) -> Term:
     """The closed term with exactly n successors applied to zero."""
@@ -174,7 +179,7 @@ def successors(term: Term) -> "tuple[int, Term]":
     """(k, core) for term = succ^k core, where core is not a successor; the
     chain is walked in a loop, so a deep numeral costs no frame per succ."""
     k = 0
-    while isinstance(term, Succ):
+    while type(term) is Succ:
         k, term = k + 1, term.arg
     return k, term
 
@@ -399,46 +404,49 @@ def infer(term: Term, ctx=()) -> Ty:
     binding first.  A TypeCheckError carries the position of the subterm at fault (None if it was
     not parsed).  A type found in the empty context is recorded in the term's slot ty: a closed
     term has it in every context, so no node holding one is walked again."""
+    if type(term) not in SUBTERMS:
+        raise TypeError(f"not a term: {term!r}")
     if term.ty is None and not ctx:
         term.ty = _infer(term, ())
     return term.ty or _infer(term, tuple(ctx))
 
 
 def _infer(term: Term, ctx: tuple) -> Ty:
-    if isinstance(term, Var):
+    cls = type(term)
+    if cls is Var:
         if term.index >= len(ctx):
             raise TypeCheckError(term.pos, "a bound variable", f"index {term.index} in context of length {len(ctx)}")
         return ctx[term.index]
     if term.ty is not None:
         return term.ty
-    if isinstance(term, App):
+    if cls is App:
         fty = _infer(term.fn, ctx)
-        if not isinstance(fty, Arrow):
+        if type(fty) is not Arrow:
             raise TypeCheckError(term.fn.pos, "a function type", fty)
         aty = _infer(term.arg, ctx)
-        if aty != fty.domain:
+        if aty is not fty.domain:
             raise TypeCheckError(term.arg.pos, fty.domain, aty)
         return fty.codomain
-    if isinstance(term, Lam):
+    if cls is Lam:
         return Arrow(term.domain, _infer(term.body, (term.domain,) + ctx))
-    if isinstance(term, Zero):
-        return NAT
-    if isinstance(term, Succ):
+    if cls is Succ:
         core = successors(term)[1]
         ty = _infer(core, ctx)
-        if ty != NAT:
+        if ty is not NAT:
             raise TypeCheckError(core.pos, NAT, ty)
         return NAT
-    if isinstance(term, Rec):
+    if cls is Zero:
+        return NAT
+    if cls is Rec:
         want_step = arrow(NAT, term.motive, term.motive)
         sty = _infer(term.step, ctx)
-        if sty != want_step:
+        if sty is not want_step:
             raise TypeCheckError(term.step.pos, want_step, sty)
         bty = _infer(term.base, ctx)
-        if bty != term.motive:
+        if bty is not term.motive:
             raise TypeCheckError(term.base.pos, term.motive, bty)
         aty = _infer(term.arg, ctx)
-        if aty != NAT:
+        if aty is not NAT:
             raise TypeCheckError(term.arg.pos, NAT, aty)
         return term.motive
     raise TypeError(f"not a term: {term!r}")
@@ -455,7 +463,7 @@ def occurs_free(term: Term, index: int) -> bool:
     stack = [(term, index)]
     while stack:
         term, index = stack.pop()
-        if isinstance(term, Var):
+        if type(term) is Var:
             if term.index == index:
                 return True
         else:
@@ -481,8 +489,10 @@ def pretty(term: Term) -> str:
     """Deterministic surface syntax of a closed term; parse(pretty(t)) == t
     unless t holds a numeral above _LITERAL_CAP.  Binder names are chosen by
     depth, numerals are re-sugared, and non-atoms are parenthesized in
-    argument position.
+    argument position.  A shared constant's text is reused (see `_pp`).
     """
+    if type(term) not in SUBTERMS:
+        raise TypeError(f"not a term: {term!r}")
     out: "list[str]" = []
     _pp(term, [], False, out)
     return "".join(out)
@@ -491,37 +501,47 @@ def pretty(term: Term) -> str:
 def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
     """Append t's text to out, parenthesized if atom is set and t is no atom.
     names holds the binders around t, innermost last; each piece is written
-    once, so printing takes time linear in the text."""
-    if isinstance(t, Var):
+    once, so printing takes time linear in the text.  A shared constant is closed, so its
+    text depends only on (len(names), atom), the key it is kept by in its `_SHARED` memo."""
+    cls = type(t)
+    if cls is Var:
         if t.index >= len(names):
             raise ValueError(f"free index {t.index} has no name")
         out.append(names[-1 - t.index])
         return
-    k, core = successors(t)
-    if isinstance(core, Zero):
-        out.append(str(k) if k else "zero")
+    if cls is Succ or cls is Zero:
+        k, core = successors(t)
+        if type(core) is Zero:
+            out.append(str(k) if k else "zero")
+            return
+    shared = t.ty is not None and _SHARED.get(id(t))  # only a typechecked root is shared
+    text = shared and shared[1].get((len(names), atom))
+    if text:
+        out.append(text)
         return
+    start = len(out)
     if atom:
         out.append("(")
-    if k:
-        out.append("succ " + "(succ " * (k - 1))
-        _pp(core, names, True, out)
-        out.append(")" * (k - 1))
-    elif isinstance(t, Lam):
+    if cls is App:
+        args = [t.arg]
+        t = t.fn
+        while type(t) is App and t.ty is None:  # the spine f a b ... in a loop, to a head that
+            args.append(t.arg)  # is no App, or is typed and may be shared
+            t = t.fn
+        _pp(t, names, type(t) is not App, out)  # an App head's text goes on without parentheses
+        for arg in reversed(args):
+            out.append(" ")
+            _pp(arg, names, True, out)
+    elif cls is Lam:
         name, header = _binder(len(names), t.domain)
         out.append(header)
         names.append(name)
         _pp(t.body, names, False, out)
         names.pop()
-    elif isinstance(t, App):
-        args = []
-        while isinstance(t, App):  # the spine f a b ... in a loop
-            args.append(t.arg)
-            t = t.fn
-        _pp(t, names, True, out)
-        for arg in reversed(args):
-            out.append(" ")
-            _pp(arg, names, True, out)
+    elif cls is Succ:
+        out.append("succ " + "(succ " * (k - 1))
+        _pp(core, names, True, out)
+        out.append(")" * (k - 1))
     else:
         out.append(f"rec[{format_ty(t.motive)}]")
         for sub in (t.step, t.base, t.arg):
@@ -529,3 +549,5 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
             _pp(sub, names, True, out)
     if atom:
         out.append(")")
+    if shared:
+        shared[1][len(names), atom] = "".join(out[start:])

@@ -14,12 +14,12 @@ def _run(*args) -> str:
 
 
 def test_two_runs_print_the_same_counts():
-    argv = ["--probes", "modulus_int,translate,parse,infer,max_grid_x0", "--terms", "1"]
+    argv = ["--probes", "modulus_int,translate,parse,pretty,infer,max_grid_x0", "--terms", "1"]
     first = _run(*argv)
     assert _run(*argv) == first
     counts = json.loads(first)
     assert counts["terms"] == 1
-    for probe in ("modulus_int", "translate", "parse", "infer", "max_grid_x0"):
+    for probe in ("modulus_int", "translate", "parse", "pretty", "infer", "max_grid_x0"):
         assert counts[probe]["calls"] > 0 and counts[probe]["opcodes"] > counts[probe]["calls"]
 
 

@@ -1,4 +1,5 @@
 import inspect
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -329,6 +330,36 @@ def test_a_witness_is_reused_only_where_it_fails_the_same_way(monkeypatch):
     assert len(shrunk) == 3
 
 
+def test_a_view_whose_build_raises_is_built_once_per_term_and_motive(monkeypatch):
+    # every suite reading the internal tree fails at every oracle, yet each
+    # input's two internal views are built once and their raise kept
+    builds = Counter()
+
+    def raising(term, motive):
+        builds[id(term), motive] += 1
+        raise ValueError("planted")
+
+    monkeypatch.setattr(church, "dialogue_tree_int", raising)
+    terms = corpus_terms()[:3]
+    reports = run_suites({suite: (0, 3) for suite in SUITE_IDS}, GenConfig(seed=0), terms)
+    assert {r.suite for r in reports if r.failures} == {"thm37", "lem44", "thm45", "lem54", "thm55"}
+    inputs = {key: n for key, n in builds.items() if key[0] in map(id, terms)}
+    assert inputs == {(id(t), motive): 1 for t in terms for motive in (NAT, BAIRE_FN)}
+
+
+def test_a_kept_raise_is_raised_again_with_its_build_traceback(monkeypatch):
+    monkeypatch.setattr(church, "dialogue_tree_int", lambda term, motive: [][0])
+    views = harness._Views(corpus_terms()[0], 0)
+    depths = []
+    for _ in range(3):
+        with pytest.raises(IndexError) as raised:
+            views.internal
+        depths.append(len(list(traceback.walk_tb(raised.value.__traceback__))))
+    # a raise again adds only the frame that raises it again
+    assert depths[2] == depths[1] == depths[0] + 1
+    assert raised.value is views.raised["internal"][0]
+
+
 @pytest.mark.parametrize("whole", [RecursionError, ValueError])
 def test_a_recursion_error_in_a_check_or_its_shrinking_propagates(monkeypatch, whole):
     # RecursionError measures the caller's stack, not the term, so it is no verdict
@@ -359,12 +390,12 @@ def test_lem36_encodes_each_tree_once_and_reports_what_its_check_raises(monkeypa
             run_suite("lem36", GenConfig(seed=3), n_terms=4, n_oracles=5)
         return
     report = run_suite("lem36", GenConfig(seed=3), n_terms=4, n_oracles=5)
-    assert report.cases == 20
+    assert report.cases == 20 and len(encoded) == 4
     if raised is None:
-        assert report.passed and len(encoded) == 4
-    else:  # a raise is not kept, so each case encodes again, and fails
+        assert report.passed
+    else:  # a raise is kept, so each case raises it again, and fails
         assert [f.detail for f in report.failures] == ["raised IndexError: planted"] * 20
-        assert len(encoded) == 20 and all(f.term is None for f in report.failures)
+        assert all(f.term is None for f in report.failures)
 
 def _planted_generic_fault(monkeypatch):
     from systemt.dialogue import Graft, gkleisli

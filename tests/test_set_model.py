@@ -21,7 +21,7 @@ from systemt.church import (
     leaf_int,
 )
 from systemt.dialogue import TREE_MODEL, Leaf, Oracle, dialogue_tree, dieval, generic, tree_sexpr
-from systemt.harness import GenConfig, corpus_terms, gen_oracle, gen_term, gen_tree, recording
+from systemt.harness import GenConfig, canonical, corpus_terms, gen_oracle, gen_term, gen_tree, recording
 from systemt.moduli import max_bool_question_int, max_question_int, max_term, modulus, modulus_int, modulus_uni_int
 from systemt.set_model import (
     SET_MODEL,
@@ -390,6 +390,36 @@ def shared_constants():
     rows += [(NAT, fn()) for fn in (max_term, max_question_int, modulus_int, max_bool_question_int, modulus_uni_int)]
     assert all(id(t) in set_model._SHARED for _, t in rows)
     return rows
+
+
+def test_a_constant_prints_the_same_from_a_cold_memo_and_a_warm_one(monkeypatch):
+    # a constant's text is kept per binder depth and position: under 0-30
+    # binders, as a body, as a function and as an argument
+    for _, constant in shared_constants():
+        monkeypatch.setitem(set_model._SHARED, id(constant), (constant, {}))  # a cold memo
+        ty = infer(constant)
+        for depth in range(31):
+            for place in (
+                lambda c: c,
+                lambda c: App(c, canonical(ty.domain)),
+                lambda c: App(Lam(ty, Var(0)), c),
+            ):
+                term = place(constant)
+                for _ in range(depth):
+                    term = Lam(NAT, term)
+                cold, warm = pretty(term), pretty(term)
+                assert cold == warm == pretty(replace(term))  # replace keeps no type: no memo
+                assert parse(cold) == term
+
+
+def test_printing_fresh_terms_adds_no_memo_entry():
+    def entries():
+        return len(set_model._SHARED), sum(len(memo) for _, memo in set_model._SHARED.values())
+
+    before = entries()
+    for i in range(1000):
+        pretty(typecheck(gen_term(GenConfig(seed=i), BAIRE_FN)))
+    assert entries() == before
 
 
 def agree_at_ground(ty, a, b, motive, rng, width=2):

@@ -9,9 +9,10 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from systemt.church import dialogue_tree_int, generic_int
+from systemt.church import dialogue_tree_int, generic_int, translate
 from systemt.dialogue import Branch, Leaf, Oracle
 from systemt.harness import GenConfig, _mix, _shrink_candidates, gen_term
+from systemt.set_model import SET_MODEL, compile_term
 from systemt.syntax import (
     NAT,
     SUBTERMS,
@@ -593,6 +594,22 @@ def test_parse_pretty_roundtrip_ends_at_the_literal_cap():
 
 
 # -- node semantics ---------------------------------------------------------
+
+
+class _LamSubclass(Lam):
+    pass
+
+
+@pytest.mark.parametrize("non_term", ["fun (x : nat) -> x", _LamSubclass(NAT, Var(0))], ids=["str", "Lam subclass"])
+@pytest.mark.parametrize(
+    "entry",
+    [infer, lambda t: translate(t, NAT), lambda t: compile_term(t, SET_MODEL), pretty],
+    ids=["infer", "translate", "compile_term", "pretty"],
+)
+def test_the_term_walks_reject_a_non_term(entry, non_term):
+    # each walk dispatches on the exact class of a node, and no term class has a subclass
+    with pytest.raises(TypeError, match="not a term"):
+        entry(non_term)
 
 
 def test_types_are_hash_consed():

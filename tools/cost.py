@@ -18,6 +18,9 @@ versions of the program, and say nothing of time.  The probes:
                  (nat -> nat) -> nat; every result's type is checked
   parse          `parse` of `pretty(t)` for each of the same terms t; every
                  result is checked to equal t
+  pretty         `pretty` of `dialogue_tree_int(t, nat)` for each of the same
+                 terms t, after a warm-up print; every text is checked to
+                 parse to the term it prints
   infer          `typecheck`, then `dialogue_tree_int` at the motives nat and
                  (nat -> nat) -> nat, on one freshly parsed copy of each of
                  the same terms; every type is checked
@@ -140,6 +143,18 @@ def parse_probe(n_terms: int) -> dict:
     counts, out = count(lambda: [parse(text) for text in texts])
     if out != terms:
         raise AssertionError("a printed term parses to another term")
+    return counts
+
+
+def pretty_probe(n_terms: int) -> dict:
+    from systemt.church import dialogue_tree_int
+    from systemt.syntax import NAT, parse, pretty
+
+    trees = [dialogue_tree_int(t, NAT) for t in probe_terms(n_terms)]
+    [pretty(t) for t in trees]  # the warm-up writes the constants' texts
+    counts, out = count(lambda: [pretty(t) for t in trees])
+    if [parse(text) for text in out] != trees:
+        raise AssertionError("a printed translation parses to another term")
     return counts
 
 
@@ -297,6 +312,7 @@ PROBES = {
     "modulus_int": modulus_int_probe,
     "translate": translate_probe,
     "parse": parse_probe,
+    "pretty": pretty_probe,
     "infer": infer_probe,
     **{f"max_grid_x{x}": max_grid_probe(x) for x in (0, 100, 200)},
     "run_suites": run_suites_probe,
