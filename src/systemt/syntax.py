@@ -9,7 +9,13 @@ typechecker, reporting a type error at the position of the subterm at fault.
 Types are hash-consed, so == and hash on them are identity checks.  Term nodes are slotted and
 compare structurally, ignoring positions.  As `set_model.share` keys on identity, only `infer`
 mutates a node, writing once into its slot ty the node's type as a closed term; `replace` never
-copies ty, and `==`, `hash` and `repr` ignore it.
+copies ty, and `==`, `hash` and `repr` ignore it.  No term class has a subclass: each walk tests
+type(t) with `is`, and rejects any other object with TypeError.
+
+The registry of shared closed constants, `_SHARED`, lives here, so that printing sees it without
+importing `set_model`: `set_model.share` records a typechecked root in it by id, and the entry's
+memo holds the constant's value per model and its text per (binder depth, atom).  So `pretty`
+writes a constant's text once per place and copies it after; no other term is kept.
 """
 
 from __future__ import annotations
