@@ -8,12 +8,13 @@ inhabitant of the target type.
 Every suite observes one natural number two ways and checks that they agree;
 its row in the table `SUITES` holds its check and default scale.  A check
 takes an input's views and a point (an oracle, or None for the uniform suites,
-which look at the whole tree once) to a failure detail or None.  The views of
-an input are built on first use and shared by all its points, and so is what
-building one raised: the set-model value, the external dialogue tree and its
-Church encoding, the compiled internal tree (its translation typechecked
-first), the internal dialogue operator applied to the internal tree, and the
-tree-wide max question over answers 0 and 1.  Inputs are closed terms of
+which look at the whole tree once) to a failure detail or None.  The table
+`_VIEWS` says how each view is built: the set-model value, the external dialogue
+tree and its Church encoding, the compiled internal tree (its translation
+typechecked first), the internal dialogue operator applied to the internal tree,
+and the tree-wide max question over answers 0 and 1.  `_Views.__getattr__`
+builds a view on first read and keeps it, or what its build raised, for all of
+the input's points.  Inputs are closed terms of
 type (nat -> nat) -> nat, except lem36's: the tree gen_tree draws from the
 input's seed, whose views hold no term.  A check builds the closed constants it
 applies, such as `moduli.modulus_int()`, at each use, so a test can swap in a
@@ -24,8 +25,9 @@ case.  A suite's `seconds` is the time spent in its own checks, including the
 views it was first to need.  A check that raises fails its case with the
 detail "raised <Class>: <message>"; RecursionError, a limit of the caller's
 stack, propagates.  A failing term is shrunk by re-running the same check on
-fresh views of every candidate while it fails the same way: a mismatch, or a
-raise of the same class.  A term and check shrink once per way of failing: a
+the views of every candidate while it fails the same way: a mismatch, or a raise
+of the same class.  An input keeps its candidates' views, so every suite's
+shrink of it shares them.  A term and check shrink once per way of failing: a
 later point where the witness fails the same way reports it again.  A failing
 tree is reported by its oracle alone.
 
@@ -303,75 +305,38 @@ def shrink_term(term: Term, still_fails: Callable[[Term], bool]) -> Term:
 # Suites
 # ---------------------------------------------------------------------------
 
-class _view:
-    """A cached_property that keeps a raise too: a view whose build raised raises that exception
-    again, with its build's traceback, and is not rebuilt."""
+class _Views:
+    """What the suites observe of one input, a closed term of type (nat -> nat) -> nat
+    or, with term None, lem36's generated tree.  A view's first read stores
+    `_VIEWS[name](self)` in the instance, or keeps what it raised in `raised`;
+    candidates holds the views of the terms the input's shrinks tried."""
 
-    def __init__(self, build):
-        self.build, self.name = build, build.__name__
+    def __init__(self, term: Term, seed: int):
+        self.term, self.seed, self.raised, self.candidates = term, seed, {}, {}
 
-    def __get__(self, views, owner=None):
-        if views is None:
-            return self
-        if self.name in views.__dict__:  # read through a class attribute patched over this one
-            return views.__dict__[self.name]
-        raised = views.raised.get(self.name)
+    def __getattr__(self, name: str):  # only a name the instance does not hold
+        build = _VIEWS.get(name)
+        if build is None:
+            raise AttributeError(f"no view {name!r}")
+        raised = self.raised.get(name)
         if raised:
             raise raised[0].with_traceback(raised[1])
         try:
-            views.__dict__[self.name] = value = self.build(views)
+            value = self.__dict__[name] = build(self)
         except Exception as err:
-            views.raised[self.name] = err, err.__traceback__
+            self.raised[name] = err, err.__traceback__
             raise
         return value
 
 
-class _Views:
-    """What the suites observe of one input, a closed term of type
-    (nat -> nat) -> nat or, with term None, lem36's generated tree; each view
-    is built on first use and kept, or what its build raised, for all points."""
-
-    def __init__(self, term: Term, seed: int):
-        self.term, self.seed, self.raised = term, seed, {}
-
-    @_view
-    def value(self):
-        return eval_set(self.term)
-
-    @_view
-    def tree(self) -> DTree:
-        if self.term is None:  # lem36's input
-            return gen_tree(GenConfig(seed=self.seed))
-        return dialogue.dialogue_tree(self.term)
-
-    @_view
-    def encoded(self):
-        return church.encode(self.tree, NAT)
-
-    def _tree_int(self, motive: Ty):
-        """The compiled internal tree at motive.  Its translation must have type
-        church_type(nat, motive), or TypeCheckError is raised before it compiles."""
-        t = church.dialogue_tree_int(self.term, motive)
-        ty, want = infer(t, ()), church.church_type(NAT, motive)
-        if ty != want:
-            raise TypeCheckError(None, want, ty)
-        return eval_set(t)
-
-    @_view
-    def internal(self):
-        return self._tree_int(NAT)
-
-    @_view
-    def internal_dialogue(self):
-        return eval_set(church.dialogue_f_int())(self._tree_int(BAIRE_FN))
-
-    @_view
-    def encoded_dialogue(self):  # lem36's: the internal dialogue operator on the tree's encoding
-        return eval_set(church.dialogue_f_int())(church.encode(self.tree, BAIRE_FN))
-
-    @_view
-    def uniform_max(self) -> int:
-        return moduli.max_bool_question(moduli.prune(self.tree))
+def _tree_int(term: Term, motive: Ty):
+    """The compiled internal tree of term at motive.  Its translation must have type
+    church_type(nat, motive), or TypeCheckError is raised before it compiles."""
+    t = church.dialogue_tree_int(term, motive)
+    ty, want = infer(t, ()), church.church_type(NAT, motive)
+    if ty != want:
+        raise TypeCheckError(None, want, ty)
+    return eval_set(t)
 
 
 def _differ(lhs: int, rhs: int, detail: str) -> Optional[str]:
@@ -453,7 +418,7 @@ def _witness(check, v: _Views, alpha: Optional[Oracle], failing: str, earlier: d
     kept if it fails that way here too; a new one is stored there."""
 
     def fails(t: Term) -> bool:
-        return _verdict(check, _Views(t, v.seed), alpha)[0] == failing
+        return _verdict(check, v.candidates.setdefault(t, _Views(t, v.seed)), alpha)[0] == failing
 
     witness = earlier.get(failing)
     if witness is None or not fails(witness):
@@ -535,6 +500,18 @@ SUITES = {
     "thm55": (_thm55, 500, 0),
 }
 SUITE_IDS = tuple(SUITES)
+
+#: How each view of an input is built from its views (see `_Views`).
+_VIEWS = {
+    "value": lambda v: eval_set(v.term),
+    # lem36's input has no term: its tree is the one drawn from the seed
+    "tree": lambda v: gen_tree(GenConfig(seed=v.seed)) if v.term is None else dialogue.dialogue_tree(v.term),
+    "encoded": lambda v: church.encode(v.tree, NAT),
+    "internal": lambda v: _tree_int(v.term, NAT),
+    "internal_dialogue": lambda v: eval_set(church.dialogue_f_int())(_tree_int(v.term, BAIRE_FN)),
+    "encoded_dialogue": lambda v: eval_set(church.dialogue_f_int())(church.encode(v.tree, BAIRE_FN)),
+    "uniform_max": lambda v: moduli.max_bool_question(moduli.prune(v.tree)),
+}
 
 
 @lru_cache(maxsize=256)

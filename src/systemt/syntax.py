@@ -410,11 +410,12 @@ def infer(term: Term, ctx=()) -> Ty:
     binding first.  A TypeCheckError carries the position of the subterm at fault (None if it was
     not parsed).  A type found in the empty context is recorded in the term's slot ty: a closed
     term has it in every context, so no node holding one is walked again."""
-    if type(term) not in SUBTERMS:
-        raise TypeError(f"not a term: {term!r}")
-    if term.ty is None and not ctx:
-        term.ty = _infer(term, ())
-    return term.ty or _infer(term, tuple(ctx))
+    try:
+        if term.ty is None and not ctx:
+            term.ty = _infer(term, ())
+        return term.ty or _infer(term, tuple(ctx))
+    except AttributeError as err:  # a node with no slot ty, so of no term class
+        raise TypeError(f"not a term: {err.obj!r}") from None
 
 
 def _infer(term: Term, ctx: tuple) -> Ty:
@@ -497,10 +498,11 @@ def pretty(term: Term) -> str:
     depth, numerals are re-sugared, and non-atoms are parenthesized in
     argument position.  A shared constant's text is reused (see `_pp`).
     """
-    if type(term) not in SUBTERMS:
-        raise TypeError(f"not a term: {term!r}")
     out: "list[str]" = []
-    _pp(term, [], False, out)
+    try:
+        _pp(term, [], False, out)
+    except AttributeError as err:  # a node with no slot ty, so of no term class
+        raise TypeError(f"not a term: {err.obj!r}") from None
     return "".join(out)
 
 
@@ -548,11 +550,13 @@ def _pp(t: Term, names: "list[str]", atom: bool, out: "list[str]") -> None:
         out.append("succ " + "(succ " * (k - 1))
         _pp(core, names, True, out)
         out.append(")" * (k - 1))
-    else:
+    elif cls is Rec:
         out.append(f"rec[{format_ty(t.motive)}]")
         for sub in (t.step, t.base, t.arg):
             out.append(" ")
             _pp(sub, names, True, out)
+    else:
+        raise TypeError(f"not a term: {t!r}")
     if atom:
         out.append(")")
     if shared:

@@ -360,6 +360,38 @@ def test_a_kept_raise_is_raised_again_with_its_build_traceback(monkeypatch):
     assert raised.value is views.raised["internal"][0]
 
 
+def test_a_name_that_is_no_view_raises_attribute_error_and_is_not_kept(monkeypatch):
+    views = harness._Views(corpus_terms()[0], 0)
+    assert not hasattr(views, "valeu")
+    with pytest.raises(AttributeError, match="no view 'valeu'"):
+        views.valeu
+    assert views.raised == {}
+    # so a check that misspells a view fails every case it reads it in
+    monkeypatch.setitem(harness.SUITES, "thm16", (lambda v, alpha: v.valeu(alpha), 500, 20))
+    report = run_suite("thm16", n_terms=0, n_oracles=3, extra_terms=corpus_terms()[:2])
+    assert [f.detail for f in report.failures] == ["raised AttributeError: no view 'valeu'"] * 6
+
+
+def test_the_suites_shrinking_one_input_build_each_candidates_views_once(monkeypatch):
+    # the five suites reading the internal tree fail a term whose translation
+    # raises while it keeps a rec; each shrinks it, trying the same candidates
+    builds = Counter()
+
+    def planted(term, motive):
+        builds[term, motive] += 1
+        if "rec[" in pretty(term):
+            raise ValueError("planted")
+        return ORIGINAL_TREE_INT(term, motive)
+
+    monkeypatch.setattr(church, "dialogue_tree_int", planted)
+    shrunk = _counting_shrinks(monkeypatch)
+    suites = ("thm37", "lem44", "thm45", "lem54", "thm55")
+    reports = run_suites({suite: (0, 2) for suite in suites}, GenConfig(seed=0), corpus_terms()[7:8])
+    assert [r.suite for r in reports if r.failures] == list(suites) and len(shrunk) == 5
+    # more than the input's two views and one candidate's, and each built once
+    assert len(builds) > 4 and set(builds.values()) == {1}
+
+
 @pytest.mark.parametrize("whole", [RecursionError, ValueError])
 def test_a_recursion_error_in_a_check_or_its_shrinking_propagates(monkeypatch, whole):
     # RecursionError measures the caller's stack, not the term, so it is no verdict
@@ -425,10 +457,10 @@ def test_corrupted_uniform_modulus_is_caught(monkeypatch):
 
 def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
     seen = {}
-    original = harness._Views.value  # a cached_property: its first read compiles the term
+    original = harness._VIEWS["value"]  # compiles the term, once per input
 
     def recording(views):
-        value = original.__get__(views, harness._Views)
+        value = original(views)
 
         def at(alpha):
             seen.setdefault(views.term, []).append(alpha.spec())
@@ -436,7 +468,7 @@ def test_thm55_probes_each_term_at_its_own_points(monkeypatch):
 
         return at
 
-    monkeypatch.setattr(harness._Views, "value", property(recording))
+    monkeypatch.setitem(harness._VIEWS, "value", recording)
     report = run_suite("thm55", GenConfig(seed=5), n_terms=0, extra_terms=corpus_terms())
     assert report.passed
     terms = dict(zip((name for name, _ in CORPUS), corpus_terms()))

@@ -1,9 +1,9 @@
 """The package keeps only what the program calls.
 
 `systemt/__init__.py` binds no name: callers import from the modules.  Every
-public top-level name of a module is used, outside the statement that defines
-it, by the package itself or by the benchmark in `perfbench/`; a name that
-only tests use belongs in the tests.
+top-level name of a module, public or private, is used, outside the statement
+that defines it, by the package itself or by the benchmark in `perfbench/`; a
+name that only tests use belongs in the tests.
 """
 
 import ast
@@ -45,14 +45,23 @@ def test_package_init_binds_no_name():
     assert stmts[1:] == []
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _names_without_a_caller() -> "list[str]":
+    """Each top-level name of the package, as "<module file>: <name>", that no
+    statement of the package or the benchmark uses but the one defining it."""
     uses = {(path, i): _used(stmt) for path in CALLERS for i, stmt in enumerate(_statements(path))}
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for i, stmt in enumerate(_statements(path)):
-            for name in sorted(_defined(stmt)):
-                if name.startswith("_"):
-                    continue
-                if not any(name in used for where, used in uses.items() if where != (path, i)):
-                    unused.append(f"{path.name}: {name}")
-    assert unused == []
+    return [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for i, stmt in enumerate(_statements(path))
+        for name in sorted(_defined(stmt))
+        if not any(name in used for where, used in uses.items() if where != (path, i))
+    ]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    assert [name for name in _names_without_a_caller() if not name.split(": ")[1].startswith("_")] == []
+
+
+def test_every_private_name_has_a_caller_outside_the_tests():
+    # a private helper that only tests call is code the program does not need
+    assert [name for name in _names_without_a_caller() if name.split(": ")[1].startswith("_")] == []

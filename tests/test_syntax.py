@@ -600,14 +600,29 @@ class _LamSubclass(Lam):
     pass
 
 
-@pytest.mark.parametrize("non_term", ["fun (x : nat) -> x", _LamSubclass(NAT, Var(0))], ids=["str", "Lam subclass"])
+class _RecSubclass(Rec):
+    pass
+
+
+@pytest.mark.parametrize(
+    "non_term",
+    [
+        "fun (x : nat) -> x",
+        _LamSubclass(NAT, Var(0)),
+        Lam(NAT, "fun (x : nat) -> x"),
+        Lam(NAT, _LamSubclass(NAT, Var(0))),
+        Lam(NAT, _RecSubclass(NAT, Lam(NAT, Lam(NAT, Var(0))), Zero(), Var(0))),
+    ],
+    ids=["str", "Lam subclass", "str as a Lam body", "Lam subclass as a Lam body", "Rec subclass as a Lam body"],
+)
 @pytest.mark.parametrize(
     "entry",
     [infer, lambda t: translate(t, NAT), lambda t: compile_term(t, SET_MODEL), pretty],
     ids=["infer", "translate", "compile_term", "pretty"],
 )
 def test_the_term_walks_reject_a_non_term(entry, non_term):
-    # each walk dispatches on the exact class of a node, and no term class has a subclass
+    # each walk dispatches on the exact class of a node, and no term class has a
+    # subclass; a non-term is refused wherever it sits, not only at the root
     with pytest.raises(TypeError, match="not a term"):
         entry(non_term)
 
