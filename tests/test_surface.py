@@ -45,23 +45,12 @@ def test_package_init_binds_no_name():
     assert stmts[1:] == []
 
 
-def _names_without_a_caller() -> "list[str]":
-    """Each top-level name of the package, as "<module file>: <name>", that no
-    statement of the package or the benchmark uses but the one defining it."""
+def test_every_top_level_name_has_a_caller_outside_the_tests():
     uses = {(path, i): _used(stmt) for path in CALLERS for i, stmt in enumerate(_statements(path))}
-    return [
-        f"{path.name}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for i, stmt in enumerate(_statements(path))
-        for name in sorted(_defined(stmt))
-        if not any(name in used for where, used in uses.items() if where != (path, i))
-    ]
-
-
-def test_every_public_name_has_a_caller_outside_the_tests():
-    assert [name for name in _names_without_a_caller() if not name.split(": ")[1].startswith("_")] == []
-
-
-def test_every_private_name_has_a_caller_outside_the_tests():
-    # a private helper that only tests call is code the program does not need
-    assert [name for name in _names_without_a_caller() if name.split(": ")[1].startswith("_")] == []
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for i, stmt in enumerate(_statements(path)):
+            for name in sorted(_defined(stmt)):
+                if not any(name in used for where, used in uses.items() if where != (path, i)):
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
